@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import Iterable, Sequence
 
-from .conway import DOOMSDAY_DATES, doomsday_date, weekday_standard
+from .conway import doomsday_date, weekday_standard
 from .core import MAX_YEAR, MIN_YEAR, Date, oracle_weekday
 from .doomyears import MAX_DISTANCE, doomyear
 from .method import AUTO, StepTrace, weekday_calamity_traced
@@ -33,10 +34,10 @@ MONTH_NAMES = (
 #: Century classes rendered by the tables command, one per anchor slot.
 CENTURY_LABELS = ((1700, "1700s"), (1800, "1800s"), (1900, "1900s"), (2000, "2000s"))
 
-_DEFAULT_VERIFY_START = 1583
 _DEFAULT_VERIFY_END = 2599
 
-_TOKEN_PATTERN = re.compile(r"^(\d{1,2})/(\d{1,2})$")
+# [0-9], not \d: \d also matches non-ASCII digits such as "١".
+_TOKEN_PATTERN = re.compile(r"([0-9]{1,2})/([0-9]{1,2})")
 
 
 def _render_json(payload: object) -> str:
@@ -51,10 +52,9 @@ def _date_argument(text: str) -> Date:
 
 
 def _year_argument(text: str) -> int:
-    try:
-        year = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a year") from None
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a year")
+    year = int(text)
     if not MIN_YEAR <= year <= MAX_YEAR:
         raise argparse.ArgumentTypeError(
             f"year {year} outside supported range {MIN_YEAR}..{MAX_YEAR}"
@@ -63,7 +63,7 @@ def _year_argument(text: str) -> int:
 
 
 def _month_day_argument(text: str) -> tuple[int, int]:
-    match = _TOKEN_PATTERN.match(text)
+    match = _TOKEN_PATTERN.fullmatch(text)
     if match is None:
         raise argparse.ArgumentTypeError(f"{text!r} is not a month/day token")
     return int(match.group(1)), int(match.group(2))
@@ -95,7 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="show every component of the computation, calamity only",
     )
-    p_weekday.add_argument("--json", action="store_true", dest="as_json")
 
     p_tables = sub.add_parser("tables", help="print the lookup tables")
     p_tables.add_argument(
@@ -106,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="anchor system 0..6 (default: 0)",
     )
     p_tables.add_argument("--leap", action="store_true", help="leap-year month codes")
-    p_tables.add_argument("--json", action="store_true", dest="as_json")
 
     p_classify = sub.add_parser(
         "classify", help="identify the anchor system behind 12 month/day pairs"
@@ -118,28 +116,17 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="M/D",
         help="one token per month, e.g. 3/7",
     )
-    p_classify.add_argument("--json", action="store_true", dest="as_json")
 
-    p_verify = sub.add_parser("verify", help="run the self-verification sweeps")
-    p_verify.add_argument(
-        "start", type=_year_argument, nargs="?", default=_DEFAULT_VERIFY_START
-    )
-    p_verify.add_argument(
-        "end", type=_year_argument, nargs="?", default=_DEFAULT_VERIFY_END
-    )
-    p_verify.add_argument("--json", action="store_true", dest="as_json")
+    for name, help_text in (
+        ("verify", "run the self-verification sweeps"),
+        ("metrics", "compare per-date operation profiles of the two methods"),
+    ):
+        p_range = sub.add_parser(name, help=help_text)
+        p_range.add_argument("start", type=_year_argument, nargs="?", default=MIN_YEAR)
+        p_range.add_argument("end", type=_year_argument, nargs="?", default=_DEFAULT_VERIFY_END)
 
-    p_metrics = sub.add_parser(
-        "metrics", help="compare per-date operation profiles of the two methods"
-    )
-    p_metrics.add_argument(
-        "start", type=_year_argument, nargs="?", default=_DEFAULT_VERIFY_START
-    )
-    p_metrics.add_argument(
-        "end", type=_year_argument, nargs="?", default=_DEFAULT_VERIFY_END
-    )
-    p_metrics.add_argument("--json", action="store_true", dest="as_json")
-
+    for p_command in sub.choices.values():
+        p_command.add_argument("--json", action="store_true", dest="as_json")
     return parser
 
 
@@ -227,7 +214,6 @@ def _cmd_tables(args: argparse.Namespace) -> int:
         return _usage_error(f"system {args.system} outside 0..6")
     sys_k = system(args.system)
     codes = [sys_k.code(month, args.leap) for month in range(1, 13)]
-    residues = [(DOOMSDAY_DATES[m - 1] + args.system) % 7 for m in range(1, 13)]
     year_rows = [doomyear(d) for d in range(MAX_DISTANCE + 1)]
     anchors = {label: int(sys_k.century_anchor(rep)) for rep, label in CENTURY_LABELS}
 
@@ -236,8 +222,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
             "system": args.system,
             "leap": args.leap,
             "months": [
-                {"month": m, "code": str(codes[m - 1]), "residue": residues[m - 1]}
-                for m in range(1, 13)
+                {"month": month, "code": str(code), "residue": code.units}
+                for month, code in enumerate(codes, start=1)
             ],
             "years": [
                 {
@@ -342,26 +328,9 @@ def _profile_payload(profile: MethodProfile) -> dict[str, object]:
 
 
 def _metric_rows(report: ComparisonReport) -> list[tuple[str, object, object]]:
-    rows: list[tuple[str, object, object]] = [
-        (kind.value, report.standard.counts[kind], report.calamity.counts[kind])
-        for kind in OpKind
-    ]
-    rows += [
-        ("total", report.standard.total, report.calamity.total),
-        ("serial depth", report.standard.serial_depth, report.calamity.serial_depth),
-        ("dependency", report.standard.dependency, report.calamity.dependency),
-        (
-            "max intermediate",
-            report.standard.max_intermediate,
-            report.calamity.max_intermediate,
-        ),
-        ("divisions", report.standard.divisions, report.calamity.divisions),
-        (
-            "large mod reductions",
-            report.standard.large_mod_reductions,
-            report.calamity.large_mod_reductions,
-        ),
-    ]
+    std, cal = _profile_payload(report.standard), _profile_payload(report.calamity)
+    rows = [(kind, count, cal["counts"][kind]) for kind, count in std["counts"].items()]
+    rows += [(key.replace("_", " "), std[key], cal[key]) for key in std if key != "counts"]
     return rows
 
 
@@ -409,7 +378,16 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe. Point stdout at devnull so the flush
+        # at interpreter exit cannot raise again (Python docs, "Note on
+        # SIGPIPE" in the signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -8,8 +8,8 @@ every other module.
 
 from __future__ import annotations
 
-import datetime
 import enum
+import re
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -18,6 +18,9 @@ MAX_YEAR = 9999
 
 #: Days per month in a common year.
 COMMON_MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+
+# [0-9], not \d: \d also matches non-ASCII digits such as "١".
+_ISO_DATE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
 
 
 class Weekday(enum.IntEnum):
@@ -72,6 +75,12 @@ class Date:
     day: int
 
     def __post_init__(self) -> None:
+        # Exact type check: rejects bools and floats, which would compare
+        # equal to a valid date or fail only when rendered.
+        if not (type(self.year) is int and type(self.month) is int and type(self.day) is int):
+            raise TypeError(
+                f"date fields must be int, got {self.year!r}, {self.month!r}, {self.day!r}"
+            )
         limit = month_length(self.year, self.month)
         if not 1 <= self.day <= limit:
             raise ValueError(
@@ -80,9 +89,11 @@ class Date:
 
     @classmethod
     def fromisoformat(cls, text: str) -> "Date":
-        """Parse a YYYY-MM-DD string."""
-        parsed = datetime.date.fromisoformat(text)
-        return cls(parsed.year, parsed.month, parsed.day)
+        """Parse exactly ``YYYY-MM-DD`` written in ASCII digits."""
+        match = _ISO_DATE.fullmatch(text)
+        if match is None:
+            raise ValueError(f"Invalid isoformat string: {text!r}")
+        return cls(*map(int, match.groups()))
 
     def __str__(self) -> str:
         return f"{self.year:04d}-{self.month:02d}-{self.day:02d}"

@@ -97,10 +97,33 @@ def nearest_anchor(yy: int) -> YearNavigation:
     return YearNavigation(anchor, anchor - yy, Direction.BACKWARD)
 
 
-def year_offset_doomyear(yy: int) -> int:
-    """Year offset read from the table instead of computed by division."""
+class YearStep(NamedTuple):
+    """Recorded year navigation: which anchor, how far, which digit."""
+
+    anchor: int
+    distance: int
+    direction: Direction
+    digit: int
+
+
+def _year_step(yy: int) -> YearStep:
     nav = nearest_anchor(yy)
     row = doomyear(nav.distance)
     if nav.direction is Direction.FORWARD:
-        return row.forward_digit
-    return row.backward_digit
+        return YearStep(*nav, row.forward_digit)
+    return YearStep(*nav, row.backward_digit)
+
+
+_STEPS = tuple(_year_step(yy) for yy in range(100))
+
+
+def year_step(yy: int) -> YearStep:
+    """Navigation and table digit for a two-digit year."""
+    if not 0 <= yy <= 99:
+        raise ValueError(f"two-digit year {yy} outside 0..99")
+    return _STEPS[yy]
+
+
+def year_offset_doomyear(yy: int) -> int:
+    """Year offset read from the table instead of computed by division."""
+    return year_step(yy).digit

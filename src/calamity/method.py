@@ -13,20 +13,11 @@ from typing import NamedTuple, Union
 
 from .conway import century_anchor
 from .core import Date, Direction, Weekday, is_leap
-from .doomyears import doomyear, nearest_anchor, year_offset_doomyear
+from .doomyears import YearStep, year_step
 from .vector import VectorCode, gaps, square_knot_forward, vector_code
 
 #: Sentinel for "pick the month direction with the smaller gap".
 AUTO = "auto"
-
-
-class YearStep(NamedTuple):
-    """Recorded year navigation: which anchor, how far, which digit."""
-
-    anchor: int
-    distance: int
-    direction: Direction
-    digit: int
 
 
 class MonthStep(NamedTuple):
@@ -66,7 +57,7 @@ def weekday_calamity(date: Date) -> Weekday:
     code = vector_code(date.month, is_leap(date.year))
     total = (
         century_anchor(date.year)
-        + year_offset_doomyear(date.year % 100)
+        + year_step(date.year % 100).digit
         + square_knot_forward(date.day, code)
     )
     return Weekday(total % 7)
@@ -83,13 +74,7 @@ def weekday_calamity_traced(
     depends on the choice.
     """
     anchor = century_anchor(date.year)
-    nav = nearest_anchor(date.year % 100)
-    row = doomyear(nav.distance)
-    if nav.direction is Direction.FORWARD:
-        year_digit = row.forward_digit
-    else:
-        year_digit = row.backward_digit
-
+    year = year_step(date.year % 100)
     code = vector_code(date.month, is_leap(date.year))
     pair = gaps(date.day)
     if month_direction == AUTO:
@@ -99,15 +84,15 @@ def weekday_calamity_traced(
 
     if chosen is Direction.FORWARD:
         step = MonthStep(Direction.FORWARD, pair.forward, code.tens)
-        total = anchor + year_digit + (pair.forward + code.tens)
+        total = anchor + year.digit + (pair.forward + code.tens)
     else:
         step = MonthStep(Direction.BACKWARD, pair.backward, code.units)
-        total = anchor + year_digit - (pair.backward + code.units)
+        total = anchor + year.digit - (pair.backward + code.units)
 
     final = Weekday(total % 7)
     trace = StepTrace(
         century_anchor=anchor,
-        year_navigation=YearStep(nav.anchor, nav.distance, nav.direction, year_digit),
+        year_navigation=year,
         month_code=code,
         target_gap=step,
         final=final,

@@ -21,8 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .conway import century_anchor, doomsday_date
 from .core import Date, Direction, is_leap, iter_dates
-from .doomyears import doomyear, nearest_anchor
-from .vector import gaps, vector_code
+from .method import weekday_calamity_traced
 
 
 class OpKind(str, enum.Enum):
@@ -91,32 +90,26 @@ def trace_standard(date: Date) -> list[OpEvent]:
 
 
 def trace_calamity(date: Date) -> list[OpEvent]:
-    """The four events of the table method, two per step.
+    """The four events of the table method, two per step, read off a forward step trace.
 
     The year pair (events 0 and 1) and the month pair (events 2 and 3)
     share no data dependency. Event 0 relocates the year against its
     anchor; its result is a table position and is therefore not an
     intermediate value.
     """
+    trace = weekday_calamity_traced(date, Direction.FORWARD)[1]
+    year = trace.year_navigation
+    step = trace.target_gap
     yy = date.year % 100
-    nav = nearest_anchor(yy)
-    row = doomyear(nav.distance)
-    if nav.direction is Direction.FORWARD:
-        nav_operands = (yy, nav.anchor)
-        year_digit = row.forward_digit
+    if year.direction is Direction.FORWARD:
+        nav_operands = (yy, year.anchor)
     else:
-        nav_operands = (nav.anchor, yy)
-        year_digit = row.backward_digit
-
-    code = vector_code(date.month, is_leap(date.year))
-    pair = gaps(date.day)
-    lower_anchor = date.day - pair.forward
-    month_offset = (pair.forward + code.tens) % 7
+        nav_operands = (year.anchor, yy)
     return [
-        OpEvent(OpKind.SMALL_SUBTRACT, nav_operands, nav.distance, intermediate=False),
-        OpEvent(OpKind.TABLE_RECALL, (nav.distance,), year_digit, depends_on=(0,)),
-        OpEvent(OpKind.GAP_MEASURE, (date.day, lower_anchor), pair.forward),
-        OpEvent(OpKind.DIGIT_SELECT_ADD, (pair.forward, code.tens), month_offset, depends_on=(2,)),
+        OpEvent(OpKind.SMALL_SUBTRACT, nav_operands, year.distance, intermediate=False),
+        OpEvent(OpKind.TABLE_RECALL, (year.distance,), year.digit, depends_on=(0,)),
+        OpEvent(OpKind.GAP_MEASURE, (date.day, date.day - step.gap), step.gap),
+        OpEvent(OpKind.DIGIT_SELECT_ADD, (step.gap, step.digit), trace.month_offset, depends_on=(2,)),
     ]
 
 

@@ -20,6 +20,14 @@ LOWER_ANCHORS = (0, 7, 14, 21, 28)
 UPPER_ANCHORS = (7, 14, 21, 28, 35)
 
 
+def _check_split(kind: str, first: int, second: int) -> None:
+    """Both digits 0, or both in 1..6 and summing to 7."""
+    zero = first == 0 and second == 0
+    split = 0 < first <= 6 and 0 < second <= 6 and first + second == 7
+    if not (zero or split):
+        raise ValueError(f"invalid {kind} ({first}, {second})")
+
+
 @dataclass(frozen=True, slots=True)
 class GapPair:
     """Distances from a day up from the anchor below and down from the one above."""
@@ -28,14 +36,7 @@ class GapPair:
     backward: int
 
     def __post_init__(self) -> None:
-        on_anchor = self.forward == 0 and self.backward == 0
-        split = (
-            0 < self.forward <= 6
-            and 0 < self.backward <= 6
-            and self.forward + self.backward == 7
-        )
-        if not (on_anchor or split):
-            raise ValueError(f"invalid gap pair ({self.forward}, {self.backward})")
+        _check_split("gap pair", self.forward, self.backward)
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,10 +47,7 @@ class VectorCode:
     units: int
 
     def __post_init__(self) -> None:
-        zero = self.tens == 0 and self.units == 0
-        split = 0 < self.tens <= 6 and 0 < self.units <= 6 and self.tens + self.units == 7
-        if not (zero or split):
-            raise ValueError(f"invalid vector code ({self.tens}, {self.units})")
+        _check_split("vector code", self.tens, self.units)
 
     @property
     def value(self) -> int:

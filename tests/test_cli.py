@@ -1,6 +1,12 @@
 """Command-line behavior: rendering, exit codes, JSON stability."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 from calamity.cli import main
 
@@ -112,6 +118,14 @@ def test_tables_year_rows(capsys):
 def test_tables_system_out_of_range_exits_2(capsys):
     code, _, _ = run_cli(capsys, "tables", "--system", "7")
     assert code == 2
+
+
+def test_tables_json_residue_matches_code(capsys):
+    for k in range(7):
+        for leap_flag in ((), ("--leap",)):
+            _, out, _ = run_cli(capsys, "tables", "--system", str(k), *leap_flag, "--json")
+            for row in json.loads(out)["months"]:
+                assert row["residue"] == int(row["code"][1]), (k, leap_flag, row)
 
 
 def test_classify_wang(capsys):
@@ -246,3 +260,44 @@ def test_metrics_json(capsys):
 def test_unknown_command_exits_2(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+
+
+ARABIC_ONE = "\u0661"
+ARABIC_1600 = "\u0661\u0666\u0660\u0660"
+
+
+@pytest.mark.parametrize("argv", [
+    ("weekday", "20251225"),
+    ("weekday", "2025-W52-4"),
+    ("weekday", "\u0662\u0660\u0662\u0665-\u0661\u0662-\u0662\u0665"),
+    ("verify", ARABIC_1600, ARABIC_1600),
+    ("metrics", ARABIC_1600, ARABIC_1600),
+    ("verify", "+2000", "2000"),
+    ("classify", f"{ARABIC_ONE}/{ARABIC_ONE}", *WANG_TOKENS[1:]),
+    ("classify", "1/1\n", *WANG_TOKENS[1:]),
+])
+def test_non_ascii_or_malformed_input_exits_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert "error:" in err
+    assert "Traceback" not in err
+
+
+def test_closed_pipe_exits_without_traceback():
+    # The read end closes before the child prints anything.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "calamity.cli", "verify", "2000", "2000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert "Traceback" not in err
+    assert "BrokenPipeError" not in err

@@ -73,6 +73,32 @@ def test_date_parsing_and_rendering():
         Date.fromisoformat("not a date")
 
 
+@pytest.mark.parametrize("text", [
+    "20251225",  # basic format, accepted by datetime on 3.11+
+    "2025-W52-4",  # ISO week date, likewise
+    "2025-12-25T00:00",
+    "2025-12-25\n",
+    " 2025-12-25",
+    "2025-1-05",
+    "\u0662\u0660\u0662\u0665-\u0661\u0662-\u0662\u0665",  # Arabic-Indic digits
+    "\uff12\uff10\uff12\uff15-12-25",  # fullwidth digits
+])
+def test_date_parsing_accepts_only_ascii_yyyy_mm_dd(text):
+    with pytest.raises(ValueError):
+        Date.fromisoformat(text)
+
+
+@pytest.mark.parametrize("fields", [
+    (2000.0, 1, 1),
+    (2000, True, 1),
+    (2000, 1, True),
+    ("2000", 1, 1),
+])
+def test_date_fields_must_be_int(fields):
+    with pytest.raises(TypeError):
+        Date(*fields)
+
+
 def test_date_ordering():
     assert Date(1999, 12, 31) < Date(2000, 1, 1)
     assert Date(2000, 1, 31) < Date(2000, 2, 1)

@@ -13,6 +13,7 @@ from calamity.doomyears import (
     doomyear,
     nearest_anchor,
     year_offset_doomyear,
+    year_step,
 )
 
 # The full packed table, one entry per distance 0..15.
@@ -123,3 +124,18 @@ def test_year_offset_examples():
 def test_year_offset_equivalence_exhaustive():
     for yy in range(100):
         assert year_offset_doomyear(yy) == year_offset_arithmetic(yy)
+
+
+def test_year_step_extends_the_navigation():
+    for yy in range(100):
+        step = year_step(yy)
+        assert step[:3] == nearest_anchor(yy)
+        assert step.digit == year_offset_doomyear(yy)
+
+
+def test_year_step_rejects_out_of_range():
+    for yy in (-1, 100):
+        with pytest.raises(ValueError):
+            year_step(yy)
+        with pytest.raises(ValueError):
+            year_offset_doomyear(yy)
