@@ -51,15 +51,24 @@ def _date_argument(text: str) -> Date:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _year_argument(text: str) -> int:
+def _ascii_number(text: str, noun: str) -> int:
+    # str.isdigit alone also accepts non-ASCII digits such as "٥".
     if not (text.isascii() and text.isdigit()):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a year")
-    year = int(text)
+        raise argparse.ArgumentTypeError(f"{text!r} is not {noun}")
+    return int(text)
+
+
+def _year_argument(text: str) -> int:
+    year = _ascii_number(text, "a year")
     if not MIN_YEAR <= year <= MAX_YEAR:
         raise argparse.ArgumentTypeError(
             f"year {year} outside supported range {MIN_YEAR}..{MAX_YEAR}"
         )
     return year
+
+
+def _system_argument(text: str) -> int:
+    return _ascii_number(text, "a system number")
 
 
 def _month_day_argument(text: str) -> tuple[int, int]:
@@ -99,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tables = sub.add_parser("tables", help="print the lookup tables")
     p_tables.add_argument(
         "--system",
-        type=int,
+        type=_system_argument,
         default=0,
         metavar="K",
         help="anchor system 0..6 (default: 0)",

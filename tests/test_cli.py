@@ -116,8 +116,9 @@ def test_tables_year_rows(capsys):
 
 
 def test_tables_system_out_of_range_exits_2(capsys):
-    code, _, _ = run_cli(capsys, "tables", "--system", "7")
+    code, _, err = run_cli(capsys, "tables", "--system", "7")
     assert code == 2
+    assert err == "calamity: error: system 7 outside 0..6\n"
 
 
 def test_tables_json_residue_matches_code(capsys):
@@ -275,6 +276,10 @@ ARABIC_1600 = "\u0661\u0666\u0660\u0660"
     ("verify", "+2000", "2000"),
     ("classify", f"{ARABIC_ONE}/{ARABIC_ONE}", *WANG_TOKENS[1:]),
     ("classify", "1/1\n", *WANG_TOKENS[1:]),
+    ("tables", "--system", "\u0665"),
+    ("tables", "--system", "+3"),
+    ("tables", "--system", " 3"),
+    ("tables", "--system", "3\n"),
 ])
 def test_non_ascii_or_malformed_input_exits_2(capsys, argv):
     code, out, err = run_cli(capsys, *argv)

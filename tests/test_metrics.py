@@ -1,10 +1,13 @@
 """Operation accounting for the two methods."""
 
+import datetime
+
 import pytest
 from hypothesis import given
 
+from calamity import metrics
 from calamity.conway import century_anchor, weekday_standard
-from calamity.core import Date
+from calamity.core import MAX_YEAR, Date, iter_dates
 from calamity.method import weekday_calamity
 from calamity.metrics import (
     OpKind,
@@ -144,3 +147,73 @@ def test_compare_is_partition_insensitive():
         p.calamity.max_intermediate for p in parts
     )
     assert whole.dates_scanned == sum(p.dates_scanned for p in parts)
+
+
+def _days(start_year, end_year):
+    """Dates in a year range, counted by the standard library."""
+    first, last = datetime.date(start_year, 1, 1), datetime.date(end_year, 12, 31)
+    return (last - first).days + 1
+
+
+@given(dates(max_year=MAX_YEAR - 400))
+def test_traces_repeat_every_400_years(date):
+    # The invariant compare's 400-year window rests on.
+    later = Date(date.year + 400, date.month, date.day)
+    assert trace_standard(later) == trace_standard(date)
+    assert trace_calamity(later) == trace_calamity(date)
+
+
+@pytest.fixture
+def traced_dates(monkeypatch):
+    """Dates compare passes to each trace, with both traces stubbed."""
+    std_events = trace_standard(Date(2000, 1, 1))
+    cal_events = trace_calamity(Date(2000, 1, 1))
+    seen = {"standard": [], "calamity": []}
+
+    def record(name, events):
+        def stub(date):
+            seen[name].append(date)
+            return events
+        return stub
+
+    monkeypatch.setattr(metrics, "trace_standard", record("standard", std_events))
+    monkeypatch.setattr(metrics, "trace_calamity", record("calamity", cal_events))
+    return seen
+
+
+def test_compare_traces_only_the_first_400_years(traced_dates):
+    report = compare(1600, 2100)
+    window = list(iter_dates(1600, 1999))
+    assert len(window) == 146_097
+    assert traced_dates["standard"] == window
+    assert traced_dates["calamity"] == window
+    assert report.dates_scanned == _days(1600, 2100)
+
+
+def test_compare_traces_every_date_of_a_short_range(traced_dates):
+    report = compare(1990, 2010)
+    every = list(iter_dates(1990, 2010))
+    assert traced_dates["standard"] == every
+    assert traced_dates["calamity"] == every
+    assert report.dates_scanned == len(every)
+
+
+def test_compare_reports_first_signature_change(monkeypatch):
+    changed = Date(1700, 3, 1)
+    original = trace_calamity
+
+    def shorter_at_changed(date):
+        events = original(date)
+        return events[:-1] if date == changed else events
+
+    monkeypatch.setattr(metrics, "trace_calamity", shorter_at_changed)
+    with pytest.raises(RuntimeError, match="1700-03-01"):
+        compare(1600, 2100)
+
+
+def test_compare_full_range_matches_default_range():
+    full = compare(1583, MAX_YEAR)
+    default = compare(1583, 2599)
+    assert full.dates_scanned == 3_074_246 == _days(1583, MAX_YEAR)
+    assert full.standard == default.standard
+    assert full.calamity == default.calamity
