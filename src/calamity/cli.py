@@ -3,7 +3,8 @@
 Five commands: weekday, tables, classify, verify, metrics. Every
 command takes ``--json`` for machine-readable output; the JSON is
 emitted with sorted keys and two-space indentation so that parsing and
-re-dumping it reproduces the bytes exactly.
+re-dumping it reproduces the bytes exactly. Each handler returns that
+JSON payload, and the command's text renderer reads nothing else.
 
 Exit codes: 0 on success, 1 when a verification or classification
 fails, 2 on usage or parse errors.
@@ -16,15 +17,15 @@ import json
 import os
 import re
 import sys
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .conway import doomsday_date, weekday_standard
 from .core import MAX_YEAR, MIN_YEAR, Date, oracle_weekday
 from .doomyears import MAX_DISTANCE, doomyear
 from .method import AUTO, StepTrace, weekday_calamity_traced
-from .metrics import ComparisonReport, MethodProfile, OpKind, compare
+from .metrics import MethodProfile, OpKind, compare
 from .systems import NotUniformError, classify, system
-from .verify import VerificationSummary, verify_range
+from .verify import verify_range
 
 MONTH_NAMES = (
     "Jan", "Feb", "Mar", "Apr", "May", "Jun",
@@ -35,6 +36,13 @@ MONTH_NAMES = (
 CENTURY_LABELS = ((1700, "1700s"), (1800, "1800s"), (1900, "1900s"), (2000, "2000s"))
 
 _DEFAULT_VERIFY_END = 2599
+
+#: What ``--json`` prints for a command, and all its text renderer reads.
+Payload = dict[str, Any]
+
+#: A handler's exit code, with its payload unless it has already written
+#: its message to stderr.
+Result = int | tuple[int, Payload]
 
 # [0-9], not \d: \d also matches non-ASCII digits such as "١".
 _TOKEN_PATTERN = re.compile(r"([0-9]{1,2})/([0-9]{1,2})")
@@ -144,21 +152,6 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _trace_lines(trace: StepTrace) -> list[str]:
-    nav = trace.year_navigation
-    nav_sign = "+" if nav.direction.value == "forward" else "-"
-    step = trace.target_gap
-    offset = trace.month_offset
-    offset_sign = "+" if offset >= 0 else "-"
-    return [
-        f"  century anchor  {trace.century_anchor}",
-        f"  year            {nav.anchor:02d} {nav_sign} {nav.distance} -> digit {nav.digit}",
-        f"  month code      {trace.month_code}",
-        f"  month step      {step.direction}: gap {step.gap} + digit {step.digit} -> {offset_sign}{abs(offset)}",
-        f"  total           ({trace.century_anchor} + {nav.digit} {offset_sign} {abs(offset)}) mod 7 = {int(trace.final)}",
-    ]
-
-
 def _trace_payload(trace: StepTrace) -> dict[str, object]:
     nav = trace.year_navigation
     step = trace.target_gap
@@ -181,10 +174,10 @@ def _trace_payload(trace: StepTrace) -> dict[str, object]:
     }
 
 
-def _cmd_weekday(args: argparse.Namespace) -> int:
+def _cmd_weekday(args: argparse.Namespace) -> Result:
     if args.method != "calamity" and (args.trace or args.direction is not None):
         return _usage_error("--trace and --direction apply to --method calamity only")
-    trace: StepTrace | None = None
+    payload: Payload = {"date": str(args.date), "method": args.method}
     if args.method == "oracle":
         day = oracle_weekday(args.date)
     elif args.method == "standard":
@@ -192,82 +185,83 @@ def _cmd_weekday(args: argparse.Namespace) -> int:
     else:
         direction = args.direction if args.direction is not None else AUTO
         day, trace = weekday_calamity_traced(args.date, direction)
-
-    if args.as_json:
-        payload: dict[str, object] = {
-            "date": str(args.date),
-            "method": args.method,
-            "weekday": int(day),
-            "name": day.name,
-        }
         if args.trace:
-            assert trace is not None
             payload["trace"] = _trace_payload(trace)
-        print(_render_json(payload))
-        return 0
+    payload["weekday"] = int(day)
+    payload["name"] = day.name
+    return 0, payload
 
-    print(f"{day.name} ({int(day)})")
-    if args.trace:
-        assert trace is not None
-        for line in _trace_lines(trace):
-            print(line)
-    return 0
+
+def _weekday_lines(payload: Payload) -> list[str]:
+    lines = [f"{payload['name']} ({payload['weekday']})"]
+    if "trace" not in payload:
+        return lines
+    trace = payload["trace"]
+    nav = trace["year"]
+    nav_sign = "+" if nav["direction"] == "forward" else "-"
+    step = trace["month_step"]
+    offset = step["offset"]
+    offset_sign = "+" if offset >= 0 else "-"
+    return lines + [
+        f"  century anchor  {trace['century_anchor']}",
+        f"  year            {nav['anchor']:02d} {nav_sign} {nav['distance']} -> digit {nav['digit']}",
+        f"  month code      {trace['month_code']}",
+        f"  month step      {step['direction']}: gap {step['gap']} + digit {step['digit']} -> {offset_sign}{abs(offset)}",
+        f"  total           ({trace['century_anchor']} + {nav['digit']} {offset_sign} {abs(offset)}) mod 7 = {trace['final']}",
+    ]
 
 
 def _month_row(label: str, cells: Iterable[object]) -> str:
     return "  " + label.ljust(8) + "".join(str(cell).rjust(5) for cell in cells)
 
 
-def _cmd_tables(args: argparse.Namespace) -> int:
+def _cmd_tables(args: argparse.Namespace) -> Result:
     if not 0 <= args.system <= 6:
         return _usage_error(f"system {args.system} outside 0..6")
     sys_k = system(args.system)
     codes = [sys_k.code(month, args.leap) for month in range(1, 13)]
-    year_rows = [doomyear(d) for d in range(MAX_DISTANCE + 1)]
     anchors = {label: int(sys_k.century_anchor(rep)) for rep, label in CENTURY_LABELS}
-
-    if args.as_json:
-        payload = {
-            "system": args.system,
-            "leap": args.leap,
-            "months": [
-                {"month": month, "code": str(code), "residue": code.units}
-                for month, code in enumerate(codes, start=1)
-            ],
-            "years": [
-                {
-                    "distance": row.distance,
-                    "F": row.packed.F,
-                    "B": row.packed.B,
-                    "D": row.packed.D,
-                }
-                for row in year_rows
-            ],
-            "century_anchors": anchors,
-        }
-        print(_render_json(payload))
-        return 0
-
-    kind = "leap year" if args.leap else "common year"
-    print(f"Month codes (system {args.system}, {kind})")
-    print(_month_row("month", MONTH_NAMES))
-    if args.system == 0:
-        days = [doomsday_date(m, args.leap) for m in range(1, 13)]
-        print(_month_row("day", days))
-    print(_month_row("code", codes))
-    print()
-    print("Year table")
-    print(f"  {'d':>3} {'F':>4} {'B':>4} {'D':>5}")
-    for row in year_rows:
-        packed = row.packed
-        print(f"  {row.distance:>3} {packed.F:>4} {packed.B:>4} {packed.D:>5}")
-    print()
-    print(f"Century anchors (system {args.system})")
-    print("  " + "   ".join(f"{label} {anchor}" for label, anchor in anchors.items()))
-    return 0
+    return 0, {
+        "system": args.system,
+        "leap": args.leap,
+        "months": [
+            {"month": month, "code": str(code), "residue": code.units}
+            for month, code in enumerate(codes, start=1)
+        ],
+        "years": [
+            {
+                "distance": row.distance,
+                "F": row.packed.F,
+                "B": row.packed.B,
+                "D": row.packed.D,
+            }
+            for row in map(doomyear, range(MAX_DISTANCE + 1))
+        ],
+        "century_anchors": anchors,
+    }
 
 
-def _cmd_classify(args: argparse.Namespace) -> int:
+def _tables_lines(payload: Payload) -> list[str]:
+    k, leap = payload["system"], payload["leap"]
+    kind = "leap year" if leap else "common year"
+    lines = [f"Month codes (system {k}, {kind})", _month_row("month", MONTH_NAMES)]
+    if k == 0:
+        # The one text row with no JSON twin: the classic anchor dates.
+        lines.append(_month_row("day", [doomsday_date(m, leap) for m in range(1, 13)]))
+    lines.append(_month_row("code", [row["code"] for row in payload["months"]]))
+    lines += ["", "Year table", f"  {'d':>3} {'F':>4} {'B':>4} {'D':>5}"]
+    for row in payload["years"]:
+        lines.append(f"  {row['distance']:>3} {row['F']:>4} {row['B']:>4} {row['D']:>5}")
+    anchors = payload["century_anchors"]
+    lines += [
+        "",
+        f"Century anchors (system {k})",
+        "  " + "   ".join(f"{label} {anchor}" for label, anchor in anchors.items()),
+    ]
+    return lines
+
+
+def _cmd_classify(args: argparse.Namespace) -> Result:
     try:
         k = classify(args.dates)
     except NotUniformError as exc:
@@ -275,19 +269,23 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         return 1
     except ValueError as exc:
         return _usage_error(str(exc))
-
     codes = [str(system(k).code(month)) for month in range(1, 13)]
-    if args.as_json:
-        print(_render_json({"k": k, "codes": codes}))
-        return 0
-    print(f"k = {k}")
-    print(_month_row("month", MONTH_NAMES))
-    print(_month_row("code", codes))
-    return 0
+    return 0, {"k": k, "codes": codes}
 
 
-def _summary_payload(summary: VerificationSummary) -> dict[str, object]:
-    return {
+def _classify_lines(payload: Payload) -> list[str]:
+    return [
+        f"k = {payload['k']}",
+        _month_row("month", MONTH_NAMES),
+        _month_row("code", payload["codes"]),
+    ]
+
+
+def _cmd_verify(args: argparse.Namespace) -> Result:
+    if args.start > args.end:
+        return _usage_error(f"reversed year range {args.start}..{args.end}")
+    summary = verify_range(args.start, args.end)
+    return 0 if summary.ok else 1, {
         "start_year": summary.start_year,
         "end_year": summary.end_year,
         "dates_tested": summary.dates_tested,
@@ -304,24 +302,18 @@ def _summary_payload(summary: VerificationSummary) -> dict[str, object]:
     }
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.start > args.end:
-        return _usage_error(f"reversed year range {args.start}..{args.end}")
-    summary = verify_range(args.start, args.end)
-    if args.as_json:
-        print(_render_json(_summary_payload(summary)))
-        return 0 if summary.ok else 1
-
-    print(f"verify {summary.start_year}..{summary.end_year}")
-    width = max(len(check.name) for check in summary.checks)
-    for check in summary.checks:
-        status = "ok" if check.ok else f"{check.failure_count} FAILED"
-        print(f"  {check.name.ljust(width)}  {check.cases:>8} cases  {status}")
-        for example in check.examples:
-            print(f"    {example}")
-    print(f"dates tested: {summary.dates_tested}")
-    print("all checks passed" if summary.ok else f"failures: {summary.failure_count}")
-    return 0 if summary.ok else 1
+def _verify_lines(payload: Payload) -> list[str]:
+    checks = payload["checks"]
+    lines = [f"verify {payload['start_year']}..{payload['end_year']}"]
+    width = max(len(check["name"]) for check in checks)
+    for check in checks:
+        status = "ok" if check["failures"] == 0 else f"{check['failures']} FAILED"
+        lines.append(f"  {check['name'].ljust(width)}  {check['cases']:>8} cases  {status}")
+        lines += [f"    {example}" for example in check["examples"]]
+    lines.append(f"dates tested: {payload['dates_tested']}")
+    failures = sum(check["failures"] for check in checks)
+    lines.append("all checks passed" if payload["ok"] else f"failures: {failures}")
+    return lines
 
 
 def _profile_payload(profile: MethodProfile) -> dict[str, object]:
@@ -336,43 +328,39 @@ def _profile_payload(profile: MethodProfile) -> dict[str, object]:
     }
 
 
-def _metric_rows(report: ComparisonReport) -> list[tuple[str, object, object]]:
-    std, cal = _profile_payload(report.standard), _profile_payload(report.calamity)
-    rows = [(kind, count, cal["counts"][kind]) for kind, count in std["counts"].items()]
-    rows += [(key.replace("_", " "), std[key], cal[key]) for key in std if key != "counts"]
-    return rows
-
-
-def _cmd_metrics(args: argparse.Namespace) -> int:
+def _cmd_metrics(args: argparse.Namespace) -> Result:
     if args.start > args.end:
         return _usage_error(f"reversed year range {args.start}..{args.end}")
     report = compare(args.start, args.end)
-    if args.as_json:
-        payload = {
-            "start_year": report.start_year,
-            "end_year": report.end_year,
-            "dates_scanned": report.dates_scanned,
-            "standard": _profile_payload(report.standard),
-            "calamity": _profile_payload(report.calamity),
-        }
-        print(_render_json(payload))
-        return 0
+    return 0, {
+        "start_year": report.start_year,
+        "end_year": report.end_year,
+        "dates_scanned": report.dates_scanned,
+        "standard": _profile_payload(report.standard),
+        "calamity": _profile_payload(report.calamity),
+    }
 
-    print(f"metrics {report.start_year}..{report.end_year} ({report.dates_scanned} dates)")
-    rows = _metric_rows(report)
+
+def _metrics_lines(payload: Payload) -> list[str]:
+    std, cal = payload["standard"], payload["calamity"]
+    rows = [(kind, count, cal["counts"][kind]) for kind, count in std["counts"].items()]
+    rows += [(key.replace("_", " "), std[key], cal[key]) for key in std if key != "counts"]
     label_width = max(len(label) for label, _, _ in rows)
-    print(f"  {'per date'.ljust(label_width)}  {'standard':>11}  {'calamity':>11}")
-    for label, std, cal in rows:
-        print(f"  {label.ljust(label_width)}  {str(std):>11}  {str(cal):>11}")
-    return 0
+    lines = [
+        f"metrics {payload['start_year']}..{payload['end_year']} ({payload['dates_scanned']} dates)",
+        f"  {'per date'.ljust(label_width)}  {'standard':>11}  {'calamity':>11}",
+    ]
+    for label, std_value, cal_value in rows:
+        lines.append(f"  {label.ljust(label_width)}  {str(std_value):>11}  {str(cal_value):>11}")
+    return lines
 
 
 _HANDLERS = {
-    "weekday": _cmd_weekday,
-    "tables": _cmd_tables,
-    "classify": _cmd_classify,
-    "verify": _cmd_verify,
-    "metrics": _cmd_metrics,
+    "weekday": (_cmd_weekday, _weekday_lines),
+    "tables": (_cmd_tables, _tables_lines),
+    "classify": (_cmd_classify, _classify_lines),
+    "verify": (_cmd_verify, _verify_lines),
+    "metrics": (_cmd_metrics, _metrics_lines),
 }
 
 
@@ -383,7 +371,13 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2
-    return _HANDLERS[args.command](args)
+    handler, render = _HANDLERS[args.command]
+    result = handler(args)
+    if isinstance(result, int):
+        return result
+    code, payload = result
+    print(_render_json(payload) if args.as_json else "\n".join(render(payload)))
+    return code
 
 
 def run() -> None:

@@ -26,6 +26,10 @@ def _code_for_residue(residue: int) -> VectorCode:
     return VectorCode(7 - residue, residue)
 
 
+#: The rotation cycle in residue order: _ROTATION[r] is the code for residue r.
+_ROTATION = tuple(_code_for_residue(r) for r in range(7))
+
+
 @dataclass(frozen=True)
 class AnchorSystem:
     """One equivalence class of anchor-date systems, in canonical residue form."""
@@ -49,7 +53,7 @@ class AnchorSystem:
 
     def code(self, month: int, leap: bool = False) -> VectorCode:
         """Month code from this class's leap-aware residue."""
-        return _code_for_residue((doomsday_date(month, leap) + self.k) % 7)
+        return _ROTATION[(doomsday_date(month, leap) + self.k) % 7]
 
     def weekday(self, date: Date) -> Weekday:
         """End-to-end weekday using this system's tables only."""
@@ -66,12 +70,8 @@ def system(k: int) -> AnchorSystem:
     return AnchorSystem(
         k=k,
         residues=residues,
-        codes=tuple(_code_for_residue(r) for r in residues),
+        codes=tuple(_ROTATION[r] for r in residues),
     )
-
-
-#: The rotation cycle in residue order: _ROTATION[r] is the code for residue r.
-_ROTATION = tuple(_code_for_residue(r) for r in range(7))
 
 
 def rotate_code(code: VectorCode) -> VectorCode:

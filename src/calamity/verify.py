@@ -8,6 +8,7 @@ independent computations of every weekday in the range must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .conway import (
     DOOMSDAY_DATES,
@@ -68,12 +69,13 @@ class _Recorder:
         self.failures = 0
         self.examples: list[str] = []
 
-    def case(self, ok: bool, detail: str = "") -> None:
+    def case(self, ok: bool, detail: Callable[[], str]) -> None:
+        """Count one case; ``detail`` formats the counterexample, only if needed."""
         self.cases += 1
         if not ok:
             self.failures += 1
             if len(self.examples) < MAX_EXAMPLES:
-                self.examples.append(detail)
+                self.examples.append(detail())
 
     def result(self, name: str) -> CheckResult:
         return CheckResult(name, self.cases, self.failures, tuple(self.examples))
@@ -89,7 +91,7 @@ def differential_sweep(start_year: int, end_year: int) -> CheckResult:
         b = weekday_calamity_traced(date, Direction.BACKWARD)[0]
         rec.case(
             o == s == f == b,
-            f"{date}: oracle={o:d} standard={s:d} forward={f:d} backward={b:d}",
+            lambda: f"{date}: oracle={o:d} standard={s:d} forward={f:d} backward={b:d}",
         )
     return rec.result("differential")
 
@@ -105,7 +107,7 @@ def month_code_check() -> CheckResult:
             derived = code.tens == pair.backward and code.units == pair.forward
             rec.case(
                 derived and code in vocabulary,
-                f"month {month} leap={leap}: code {code} vs gaps {pair}",
+                lambda: f"month {month} leap={leap}: code {code} vs gaps {pair}",
             )
     return rec.result("month-codes")
 
@@ -122,7 +124,7 @@ def square_knot_check() -> CheckResult:
                 backward_ok = square_knot_backward(day, code) == (anchor_day - day) % 7
                 rec.case(
                     forward_ok and backward_ok,
-                    f"month {month} leap={leap} day {day}",
+                    lambda: f"month {month} leap={leap} day {day}",
                 )
     return rec.result("square-knot")
 
@@ -139,7 +141,7 @@ def year_table_check() -> CheckResult:
             and packed.F == 10 * distance + row.forward_digit
             and packed.B == 10 * distance + row.backward_digit
             and packed.D == 100 * distance + 10 * row.backward_digit + row.forward_digit,
-            f"distance {distance}",
+            lambda: f"distance {distance}",
         )
     return rec.result("year-table")
 
@@ -152,14 +154,14 @@ def year_offset_check() -> CheckResult:
         rec.case(
             nav.distance <= MAX_DISTANCE
             and year_offset_doomyear(yy) == year_offset_arithmetic(yy),
-            f"yy={yy:02d}: nav={nav}",
+            lambda: f"yy={yy:02d}: nav={nav}",
         )
     for anchor in anchor_years():
-        rec.case(year_offset_arithmetic(anchor) == 0, f"anchor {anchor} has nonzero offset")
+        rec.case(year_offset_arithmetic(anchor) == 0, lambda: f"anchor {anchor} has nonzero offset")
     for y in range(72):
         rec.case(
             year_offset_arithmetic(y + 28) == year_offset_arithmetic(y),
-            f"period break at {y}",
+            lambda: f"period break at {y}",
         )
     return rec.result("year-offset")
 
@@ -183,18 +185,18 @@ def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
         rotated = system((k + 1) % 7)
         for month in range(1, 13):
             code = sys_k.codes[month - 1]
-            rec.case(code in vocabulary, f"k={k} month {month}: code {code} not in vocabulary")
+            rec.case(code in vocabulary, lambda: f"k={k} month {month}: code {code} not in vocabulary")
             rec.case(
                 rotate_code(code) == rotated.codes[month - 1],
-                f"k={k} month {month}: rotation mismatch",
+                lambda: f"k={k} month {month}: rotation mismatch",
             )
-        rec.case(classify(_representative_dates(k)) == k, f"k={k}: classify round trip")
+        rec.case(classify(_representative_dates(k)) == k, lambda: f"k={k}: classify round trip")
         zero_months = zero_month_count(k)
         expected_zero = len(grouping.groups.get((7 - k) % 7, frozenset()))
-        rec.case(zero_months == expected_zero, f"k={k}: zero-month count {zero_months}")
+        rec.case(zero_months == expected_zero, lambda: f"k={k}: zero-month count {zero_months}")
         rec.case(
             zero_months == 3 if k == 0 else zero_months <= 2,
-            f"k={k}: zero-month optimality violated ({zero_months})",
+            lambda: f"k={k}: zero-month optimality violated ({zero_months})",
         )
 
     sweep_end = min(end_year, start_year + SYSTEM_SWEEP_YEARS - 1)
@@ -204,7 +206,7 @@ def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
         for sys_k in systems:
             rec.case(
                 sys_k.weekday(date) == expected,
-                f"k={sys_k.k} {date}: system weekday != oracle",
+                lambda: f"k={sys_k.k} {date}: system weekday != oracle",
             )
     return rec.result("anchor-systems")
 

@@ -1,5 +1,7 @@
 """Command-line behavior: rendering, exit codes, JSON stability."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -7,8 +9,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from calamity import verify as verify_module
 from calamity.cli import main
+from calamity.core import Weekday
 
 WANG_TOKENS = ["1/1", "2/12", "3/5", "4/2", "5/7", "6/4",
                "7/9", "8/6", "9/3", "10/8", "11/12", "12/10"]
@@ -165,6 +170,50 @@ def test_verify_single_year(capsys):
     assert "all checks passed" in out
 
 
+FAULT_EXAMPLES = [
+    "2000-01-13: oracle=4 standard=4 forward=5 backward=4",
+    "2000-02-13: oracle=0 standard=0 forward=1 backward=0",
+    "2000-03-13: oracle=1 standard=1 forward=2 backward=1",
+    "2000-04-13: oracle=4 standard=4 forward=5 backward=4",
+    "2000-05-13: oracle=6 standard=6 forward=0 backward=6",
+]
+
+
+@pytest.fixture
+def forward_off_on_13th(monkeypatch):
+    """The forward route answers one day late on the 13th of every month."""
+    real = verify_module.weekday_calamity
+
+    def faulty(date):
+        day = real(date)
+        return Weekday((day + 1) % 7) if date.day == 13 else day
+
+    monkeypatch.setattr(verify_module, "weekday_calamity", faulty)
+
+
+def test_verify_failure_text(capsys, forward_off_on_13th):
+    code, out, _ = run_cli(capsys, "verify", "2000", "2000")
+    assert code == 1
+    lines = out.splitlines()
+    row = lines.index("  differential         366 cases  12 FAILED")
+    assert lines[row + 1:row + 6] == [f"    {example}" for example in FAULT_EXAMPLES]
+    assert lines[row + 6].startswith("  month-codes ")
+    assert lines[-1] == "failures: 12"
+
+
+def test_verify_failure_json(capsys, forward_off_on_13th):
+    code, out, _ = run_cli(capsys, "verify", "2000", "2000", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    differential = payload["checks"][0]
+    assert differential["name"] == "differential"
+    assert differential["failures"] == 12
+    assert differential["examples"] == FAULT_EXAMPLES
+    assert all(check["failures"] == 0 for check in payload["checks"][1:])
+    assert _round_trips(out)
+
+
 def test_verify_reversed_range_exits_2(capsys):
     code, _, _ = run_cli(capsys, "verify", "2100", "2000")
     assert code == 2
@@ -306,3 +355,69 @@ def test_closed_pipe_exits_without_traceback():
     assert proc.wait(timeout=60) == 1
     assert "Traceback" not in err
     assert "BrokenPipeError" not in err
+
+
+# Tokens for the argv fuzz below.
+MALFORMED = ["\u0665", "+3", " 3", "3\n", "0000-01-01", "2023-02-29", "10000", "1582", "13/1"]
+BAD_TOKENS = MALFORMED + ["--bogus", "-x", "--leap", "--trace", "--system"]
+FLAG_GROUPS = {
+    "weekday": [
+        ["--json"], ["--trace"], ["--method", "standard"], ["--method", "oracle"],
+        ["--method", "calamity"], ["--direction", "forward"], ["--direction", "backward"],
+        ["--direction", "auto"],
+    ],
+    "tables": [
+        ["--json"], ["--leap"], ["--system", "0"], ["--system", "5"], ["--system", "6"],
+        ["--system", "7"], ["--system", "-1"],
+    ],
+    "classify": [["--json"]],
+    "verify": [["--json"]],
+    "metrics": [["--json"]],
+}
+
+
+def _slot(valid):
+    """A valid token two times in three, else a malformed one."""
+    return st.one_of(st.sampled_from(valid), st.sampled_from(valid), st.sampled_from(MALFORMED))
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(sorted(FLAG_GROUPS)))
+    if command == "weekday":
+        head = [draw(_slot(["2025-12-25", "1583-01-01", "9999-12-31", "2000-02-29"]))]
+    elif command == "classify":
+        head = list(draw(st.sampled_from([WANG_TOKENS, CONWAY_TOKENS])))
+        for index in draw(st.lists(st.integers(0, 11), max_size=2)):
+            head[index] = draw(_slot(["1/3", "2/28", "2/29", "2/30", "12/12", "1/1\n"]))
+        head = head[:draw(st.sampled_from([12, 12, 12, 11]))]
+    elif command == "tables":
+        head = []
+    else:
+        # Both years always come first, so neither falls back to a default
+        # and a run spans at most 2000..2001. Reversed pairs are drawn too.
+        head = [draw(_slot(["2000", "2001"])), draw(_slot(["2000", "2001"]))]
+    groups = draw(st.lists(st.sampled_from(FLAG_GROUPS[command]), max_size=3))
+    tail = [token for group in groups for token in group]
+    for bad in draw(st.lists(st.sampled_from(BAD_TOKENS), max_size=1)):
+        tail.insert(draw(st.integers(0, len(tail))), bad)
+    return [command, *head, *tail]
+
+
+@settings(deadline=None, max_examples=300)
+@given(cli_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and "error:" in err
+    elif argv[0] == "classify" and code == 1:
+        assert out == "" and err.startswith("not uniform: ")
+    elif "--json" in argv:
+        assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out
+    else:
+        assert out.endswith("\n") and err == ""
