@@ -269,7 +269,7 @@ def _cmd_classify(args: argparse.Namespace) -> Result:
         return 1
     except ValueError as exc:
         return _usage_error(str(exc))
-    codes = [str(system(k).code(month)) for month in range(1, 13)]
+    codes = [str(code) for code in system(k).codes]
     return 0, {"k": k, "codes": codes}
 
 

@@ -56,6 +56,12 @@ def is_leap(year: int) -> bool:
     return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
 
 
+#: Years in one Gregorian cycle. Dates this far apart share their leap
+#: rule, two-digit year, century anchor and weekday, so the first 400
+#: years of a longer range already hold every case the rest repeats.
+CYCLE_YEARS = 400
+
+
 def month_length(year: int, month: int) -> int:
     """Number of days in the given month of the given year."""
     if not 1 <= month <= 12:

@@ -14,7 +14,7 @@ from typing import NamedTuple, Union
 from .conway import century_anchor
 from .core import Date, Direction, Weekday, is_leap
 from .doomyears import YearStep, year_step
-from .vector import VectorCode, gaps, square_knot_forward, vector_code
+from .vector import VectorCode, gaps, square_knot_backward, square_knot_forward, vector_code
 
 #: Sentinel for "pick the month direction with the smaller gap".
 AUTO = "auto"
@@ -47,7 +47,7 @@ class StepTrace:
         return -reduced
 
     def recompute(self) -> Weekday:
-        """Re-add the recorded components; must reproduce ``final``."""
+        """Re-add the recorded components; must match the square-knot ``final``."""
         total = self.century_anchor + self.year_navigation.digit + self.month_offset
         return Weekday(total % 7)
 
@@ -84,12 +84,12 @@ def weekday_calamity_traced(
 
     if chosen is Direction.FORWARD:
         step = MonthStep(Direction.FORWARD, pair.forward, code.tens)
-        total = anchor + year.digit + (pair.forward + code.tens)
+        offset = square_knot_forward(date.day, code)
     else:
         step = MonthStep(Direction.BACKWARD, pair.backward, code.units)
-        total = anchor + year.digit - (pair.backward + code.units)
+        offset = -square_knot_backward(date.day, code)
 
-    final = Weekday(total % 7)
+    final = Weekday((anchor + year.digit + offset) % 7)
     trace = StepTrace(
         century_anchor=anchor,
         year_navigation=year,

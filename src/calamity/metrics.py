@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .conway import century_anchor, doomsday_date
-from .core import Date, Direction, is_leap, iter_dates
+from .core import CYCLE_YEARS, Date, Direction, is_leap, iter_dates
 from .method import weekday_calamity_traced
 
 
@@ -168,11 +168,6 @@ def _profile(signature: tuple[OpKind, ...], depth: int, peak: int) -> MethodProf
     )
 
 
-# Years in one Gregorian cycle: dates this far apart share their leap
-# rule, two-digit year and century anchor.
-_CYCLE_YEARS = 400
-
-
 def compare(start_year: int, end_year: int) -> ComparisonReport:
     """Aggregate both traces over every date in the year range.
 
@@ -189,15 +184,13 @@ def compare(start_year: int, end_year: int) -> ComparisonReport:
     the same first date. ``dates_scanned`` still counts every date in
     the range.
     """
-    if start_year > end_year:
-        raise ValueError(f"empty year range {start_year}..{end_year}")
     scanned = sum(366 if is_leap(y) else 365 for y in range(start_year, end_year + 1))
 
     std_signature: tuple[OpKind, ...] | None = None
     cal_signature: tuple[OpKind, ...] | None = None
     std_depth = cal_depth = 0
     std_peak = cal_peak = 0
-    window_end = min(end_year, start_year + _CYCLE_YEARS - 1)
+    window_end = min(end_year, start_year + CYCLE_YEARS - 1)
     for date in iter_dates(start_year, window_end):
         std = trace_standard(date)
         cal = trace_calamity(date)

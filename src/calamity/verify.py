@@ -11,12 +11,11 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .conway import (
-    DOOMSDAY_DATES,
     doomsday_date,
     weekday_standard,
     year_offset_arithmetic,
 )
-from .core import Direction, is_leap, iter_dates, month_length, oracle_weekday
+from .core import CYCLE_YEARS, Direction, iter_dates, month_length, oracle_weekday
 from .doomyears import MAX_DISTANCE, anchor_years, doomyear, nearest_anchor, year_offset_doomyear
 from .method import weekday_calamity, weekday_calamity_traced
 from .systems import classify, month_groupings, rotate_code, system, zero_month_count
@@ -24,9 +23,6 @@ from .vector import code_vocabulary, gaps, square_knot_backward, square_knot_for
 
 #: Counterexamples kept per check.
 MAX_EXAMPLES = 5
-
-#: Longest span the per-system end-to-end check sweeps.
-SYSTEM_SWEEP_YEARS = 400
 
 
 @dataclass(frozen=True)
@@ -199,7 +195,7 @@ def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
             lambda: f"k={k}: zero-month optimality violated ({zero_months})",
         )
 
-    sweep_end = min(end_year, start_year + SYSTEM_SWEEP_YEARS - 1)
+    sweep_end = min(end_year, start_year + CYCLE_YEARS - 1)
     systems = [system(k) for k in range(7)]
     for date in iter_dates(start_year, sweep_end):
         expected = oracle_weekday(date)

@@ -139,3 +139,5 @@ def test_year_step_rejects_out_of_range():
             year_step(yy)
         with pytest.raises(ValueError):
             year_offset_doomyear(yy)
+        with pytest.raises(ValueError):
+            nearest_anchor(yy)

@@ -2,6 +2,7 @@
 
 from hypothesis import given, strategies as st
 
+from calamity import method, verify
 from calamity.core import Date, Direction, Weekday, oracle_weekday
 from calamity.method import AUTO, weekday_calamity, weekday_calamity_traced
 from support import dates
@@ -53,6 +54,16 @@ def test_trace_year_navigation():
     assert (nav.anchor, nav.distance, nav.direction) == (28, 3, Direction.BACKWARD)
     assert nav.digit == 3
     assert trace.century_anchor == 2
+
+
+def test_backward_route_runs_the_verified_square_knot(monkeypatch):
+    # The square-knot check tests square_knot_backward; an off-by-one
+    # copy must reach the backward route and the differential sweep.
+    real = method.square_knot_backward
+    monkeypatch.setattr(method, "square_knot_backward", lambda day, code: real(day, code) + 1)
+    date = Date(2025, 12, 25)
+    assert weekday_calamity_traced(date, Direction.BACKWARD)[0] != oracle_weekday(date)
+    assert verify.differential_sweep(2000, 2000).failure_count == 366
 
 
 @given(dates())

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from calamity import verify
 from calamity.conway import DOOMSDAY_DATES
 from calamity.core import Date, Weekday, iter_dates, oracle_weekday
 from calamity.systems import (
@@ -56,6 +57,10 @@ def test_rotation_cycle():
 def test_rotation_examples():
     assert rotate_code(VectorCode(0, 0)).value == 61
     assert rotate_code(VectorCode(1, 6)).value == 0
+    # Every VectorCode is in the vocabulary, so only a plain tuple
+    # reaches the rejection.
+    with pytest.raises(ValueError, match="is not a vocabulary code"):
+        rotate_code((1, 6))
 
 
 def test_rotation_is_a_7_cycle():
@@ -189,3 +194,16 @@ def test_wang_anchor_dates_share_a_weekday():
     # 2025: every date on Wang's list lands on the same weekday.
     weekdays = {oracle_weekday(Date(2025, m, d)) for m, d in WANG_DATES}
     assert weekdays == {Weekday.Wednesday}
+
+
+def test_anchor_system_check_sweeps_only_the_first_400_years(monkeypatch):
+    swept = []
+
+    def record(start_year, end_year):
+        swept.append((start_year, end_year))
+        return iter(())
+
+    monkeypatch.setattr(verify, "iter_dates", record)
+    verify.anchor_system_check(1600, 2100)
+    verify.anchor_system_check(1990, 2010)
+    assert swept == [(1600, 1999), (1990, 2010)]

@@ -76,6 +76,9 @@ def test_vector_code_rendering():
 
 def test_month_codes_common_year():
     assert tuple(vector_code(m).value for m in range(1, 13)) == COMMON_CODES
+    for month in (0, 13):
+        with pytest.raises(ValueError):
+            vector_code(month)
 
 
 def test_month_codes_leap_overrides():
