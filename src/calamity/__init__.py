@@ -44,7 +44,7 @@ from .doomyears import (
     nearest_anchor,
     year_offset_doomyear,
 )
-from .method import StepTrace, weekday_calamity, weekday_calamity_traced
+from .method import StepTrace, weekday_calamity, weekday_calamity_backward, weekday_calamity_traced
 from .metrics import (
     ComparisonReport,
     MethodProfile,
@@ -124,6 +124,7 @@ __all__ = [
     "vector_code",
     "verify_range",
     "weekday_calamity",
+    "weekday_calamity_backward",
     "weekday_calamity_traced",
     "weekday_standard",
     "year_offset_arithmetic",

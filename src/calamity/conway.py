@@ -8,7 +8,7 @@ anchor date, all mod 7.
 
 from __future__ import annotations
 
-from .core import Date, Weekday, _check_year, is_leap
+from .core import WEEKDAYS, Date, Weekday, _check_year, is_leap
 
 #: Century anchors for one 400-year cycle, indexed by century mod 4.
 #: Index 0 is the class of the 2000s (also 1600s, 2400s, ...).
@@ -51,4 +51,4 @@ def weekday_standard(date: Date) -> Weekday:
     """
     delta = date.day - doomsday_date(date.month, is_leap(date.year))
     total = century_anchor(date.year) + year_offset_arithmetic(date.year % 100) + delta
-    return Weekday(total % 7)
+    return WEEKDAYS[total % 7]

@@ -1,9 +1,10 @@
 """The full lookup pipeline: century anchor + year digit + month offset.
 
 Every contribution is a single digit. The canonical form always adds
-the forward month offset. The traced form can run the month step in
-either direction, recording a backward offset as a subtraction, and
-keeps every component it used so the computation can be checked by eye.
+the forward month offset; the backward form subtracts the backward one.
+The traced form takes its answer from one of the two and records every
+component of that direction's computation, a backward offset as a
+subtraction, so the computation can be checked by eye.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .conway import century_anchor
-from .core import Date, Direction, Weekday, is_leap
+from .core import WEEKDAYS, Date, Direction, Weekday, is_leap
 from .doomyears import YearStep, year_step
 from .vector import VectorCode, gaps, square_knot_backward, square_knot_forward, vector_code
 
@@ -49,7 +50,7 @@ class StepTrace:
     def recompute(self) -> Weekday:
         """Re-add the recorded components; must match the square-knot ``final``."""
         total = self.century_anchor + self.year_navigation.digit + self.month_offset
-        return Weekday(total % 7)
+        return WEEKDAYS[total % 7]
 
 
 def weekday_calamity(date: Date) -> Weekday:
@@ -60,7 +61,18 @@ def weekday_calamity(date: Date) -> Weekday:
         + year_step(date.year % 100).digit
         + square_knot_forward(date.day, code)
     )
-    return Weekday(total % 7)
+    return WEEKDAYS[total % 7]
+
+
+def weekday_calamity_backward(date: Date) -> Weekday:
+    """Weekday as century anchor + year digit - backward month offset, mod 7."""
+    code = vector_code(date.month, is_leap(date.year))
+    total = (
+        century_anchor(date.year)
+        + year_step(date.year % 100).digit
+        - square_knot_backward(date.day, code)
+    )
+    return WEEKDAYS[total % 7]
 
 
 def weekday_calamity_traced(
@@ -70,8 +82,11 @@ def weekday_calamity_traced(
 
     ``month_direction`` is forward, backward, or ``"auto"``. Auto takes
     whichever gap of the target day is smaller and falls back to
-    forward when the day sits on an anchor. The resulting weekday never
-    depends on the choice.
+    forward when the day sits on an anchor. The weekday comes from
+    ``weekday_calamity`` or ``weekday_calamity_backward``, whichever
+    matches the direction, so it is the answer ``verify`` checks; the
+    trace's ``recompute()`` cross-checks the recorded steps against it.
+    The resulting weekday never depends on the choice.
     """
     anchor = century_anchor(date.year)
     year = year_step(date.year % 100)
@@ -84,12 +99,11 @@ def weekday_calamity_traced(
 
     if chosen is Direction.FORWARD:
         step = MonthStep(Direction.FORWARD, pair.forward, code.tens)
-        offset = square_knot_forward(date.day, code)
+        final = weekday_calamity(date)
     else:
         step = MonthStep(Direction.BACKWARD, pair.backward, code.units)
-        offset = -square_knot_backward(date.day, code)
+        final = weekday_calamity_backward(date)
 
-    final = Weekday((anchor + year.digit + offset) % 7)
     trace = StepTrace(
         century_anchor=anchor,
         year_navigation=year,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from . import conway
 from .conway import DOOMSDAY_DATES, doomsday_date
-from .core import COMMON_MONTH_LENGTHS, Date, Weekday, is_leap
+from .core import COMMON_MONTH_LENGTHS, WEEKDAYS, Date, Weekday, is_leap
 from .doomyears import year_offset_doomyear
 from .vector import VectorCode, square_knot_forward
 
@@ -59,7 +59,7 @@ class AnchorSystem:
         """End-to-end weekday using this system's tables only."""
         offset = square_knot_forward(date.day, self.code(date.month, is_leap(date.year)))
         total = self.century_anchor(date.year) + year_offset_doomyear(date.year % 100) + offset
-        return Weekday(total % 7)
+        return WEEKDAYS[total % 7]
 
 
 def system(k: int) -> AnchorSystem:

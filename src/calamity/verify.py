@@ -15,9 +15,9 @@ from .conway import (
     weekday_standard,
     year_offset_arithmetic,
 )
-from .core import CYCLE_YEARS, Direction, iter_dates, month_length, oracle_weekday
+from .core import CYCLE_YEARS, iter_dates, month_length, oracle_weekday
 from .doomyears import MAX_DISTANCE, anchor_years, doomyear, nearest_anchor, year_offset_doomyear
-from .method import weekday_calamity, weekday_calamity_traced
+from .method import weekday_calamity, weekday_calamity_backward
 from .systems import classify, month_groupings, rotate_code, system, zero_month_count
 from .vector import code_vocabulary, gaps, square_knot_backward, square_knot_forward, vector_code
 
@@ -84,7 +84,7 @@ def differential_sweep(start_year: int, end_year: int) -> CheckResult:
         o = oracle_weekday(date)
         s = weekday_standard(date)
         f = weekday_calamity(date)
-        b = weekday_calamity_traced(date, Direction.BACKWARD)[0]
+        b = weekday_calamity_backward(date)
         rec.case(
             o == s == f == b,
             lambda: f"{date}: oracle={o:d} standard={s:d} forward={f:d} backward={b:d}",

@@ -179,29 +179,47 @@ FAULT_EXAMPLES = [
 ]
 
 
-@pytest.fixture
-def forward_off_on_13th(monkeypatch):
-    """The forward route answers one day late on the 13th of every month."""
-    real = verify_module.weekday_calamity
+BACKWARD_FAULT_EXAMPLES = [
+    "2000-01-13: oracle=4 standard=4 forward=4 backward=5",
+    "2000-02-13: oracle=0 standard=0 forward=0 backward=1",
+    "2000-03-13: oracle=1 standard=1 forward=1 backward=2",
+    "2000-04-13: oracle=4 standard=4 forward=4 backward=5",
+    "2000-05-13: oracle=6 standard=6 forward=6 backward=0",
+]
+
+
+def _off_on_13th(monkeypatch, route):
+    """Make the verifier's ``route`` answer one day late on the 13th of every month."""
+    real = getattr(verify_module, route)
 
     def faulty(date):
         day = real(date)
         return Weekday((day + 1) % 7) if date.day == 13 else day
 
-    monkeypatch.setattr(verify_module, "weekday_calamity", faulty)
+    monkeypatch.setattr(verify_module, route, faulty)
 
 
-def test_verify_failure_text(capsys, forward_off_on_13th):
+@pytest.fixture
+def forward_off_on_13th(monkeypatch):
+    _off_on_13th(monkeypatch, "weekday_calamity")
+
+
+@pytest.fixture
+def backward_off_on_13th(monkeypatch):
+    _off_on_13th(monkeypatch, "weekday_calamity_backward")
+
+
+def _assert_verify_fails_text(capsys, examples):
     code, out, _ = run_cli(capsys, "verify", "2000", "2000")
     assert code == 1
     lines = out.splitlines()
     row = lines.index("  differential         366 cases  12 FAILED")
-    assert lines[row + 1:row + 6] == [f"    {example}" for example in FAULT_EXAMPLES]
+    assert lines[row + 1:row + 6] == [f"    {example}" for example in examples]
     assert lines[row + 6].startswith("  month-codes ")
     assert lines[-1] == "failures: 12"
 
 
-def test_verify_failure_json(capsys, forward_off_on_13th):
+def _assert_verify_fails_json(capsys, examples):
     code, out, _ = run_cli(capsys, "verify", "2000", "2000", "--json")
     assert code == 1
     payload = json.loads(out)
@@ -209,9 +227,25 @@ def test_verify_failure_json(capsys, forward_off_on_13th):
     differential = payload["checks"][0]
     assert differential["name"] == "differential"
     assert differential["failures"] == 12
-    assert differential["examples"] == FAULT_EXAMPLES
+    assert differential["examples"] == examples
     assert all(check["failures"] == 0 for check in payload["checks"][1:])
     assert _round_trips(out)
+
+
+def test_verify_failure_text(capsys, forward_off_on_13th):
+    _assert_verify_fails_text(capsys, FAULT_EXAMPLES)
+
+
+def test_verify_failure_json(capsys, forward_off_on_13th):
+    _assert_verify_fails_json(capsys, FAULT_EXAMPLES)
+
+
+def test_verify_backward_failure_text(capsys, backward_off_on_13th):
+    _assert_verify_fails_text(capsys, BACKWARD_FAULT_EXAMPLES)
+
+
+def test_verify_backward_failure_json(capsys, backward_off_on_13th):
+    _assert_verify_fails_json(capsys, BACKWARD_FAULT_EXAMPLES)
 
 
 def test_verify_reversed_range_exits_2(capsys):

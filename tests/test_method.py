@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from calamity import method, verify
 from calamity.core import Date, Direction, Weekday, oracle_weekday
-from calamity.method import AUTO, weekday_calamity, weekday_calamity_traced
+from calamity.method import AUTO, weekday_calamity, weekday_calamity_backward, weekday_calamity_traced
 from support import dates
 
 
@@ -66,12 +66,24 @@ def test_backward_route_runs_the_verified_square_knot(monkeypatch):
     assert verify.differential_sweep(2000, 2000).failure_count == 366
 
 
+def test_traced_forward_answer_is_the_verified_one(monkeypatch):
+    # The traced route prints the answer of the function verify checks;
+    # recompute() re-adds the recorded steps, so it exposes the fault.
+    real = method.weekday_calamity
+    monkeypatch.setattr(method, "weekday_calamity", lambda date: Weekday((real(date) + 1) % 7))
+    date = Date(2025, 12, 25)
+    day, trace = weekday_calamity_traced(date, Direction.FORWARD)
+    assert day == trace.final == Weekday.Friday
+    assert trace.recompute() != trace.final
+
+
 @given(dates())
 def test_direction_never_changes_the_answer(date):
     forward, _ = weekday_calamity_traced(date, Direction.FORWARD)
     backward, _ = weekday_calamity_traced(date, Direction.BACKWARD)
     auto, _ = weekday_calamity_traced(date, AUTO)
     assert forward == backward == auto == weekday_calamity(date)
+    assert weekday_calamity_backward(date) == forward
 
 
 @given(dates(), st.sampled_from([Direction.FORWARD, Direction.BACKWARD, AUTO]))
