@@ -1,16 +1,20 @@
 """Weekday computation by table lookup.
 
-The package carries two interchangeable routes to the weekday of any
+The package carries four independent routes to the weekday of any
 Gregorian date from 1583 through 9999 and the machinery to prove they
 agree:
 
-* the classic arithmetic route, century anchor plus a per-year formula
-  plus a per-month anchor date,
-* a pure lookup route that replaces the year formula with a navigable
-  16-row table and the month dates with two-digit gap codes that can be
-  applied forward or backward,
-* a day-counting oracle, an anchor-system classifier, self-verification
-  sweeps, and operation-count metrics comparing the two routes.
+* ``oracle_weekday``, a day count from the Tuesday 2000-04-04,
+* ``weekday_standard``, the classic arithmetic route: century anchor
+  plus a per-year formula plus a per-month anchor date,
+* ``weekday_calamity``, a pure lookup route that replaces the year
+  formula with a navigable 16-row table and the month dates with
+  two-digit gap codes, applied forward,
+* ``weekday_calamity_backward``, the same lookups with the gap codes
+  applied backward.
+
+Around them sit an anchor-system classifier, self-verification sweeps,
+and operation-count metrics comparing the arithmetic and lookup routes.
 
 Weekdays are numbered 0 = Sunday through 6 = Saturday.
 """
@@ -77,57 +81,10 @@ from .verify import CheckResult, VerificationSummary, verify_range
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ANCHOR_YEARS",
-    "AnchorSystem",
-    "CENTURY_ANCHORS",
-    "CheckResult",
-    "ComparisonReport",
-    "DOOMSDAY_DATES",
-    "Date",
-    "Direction",
-    "Doomyear",
-    "GapPair",
-    "LEAP_OVERRIDES",
-    "MAX_YEAR",
-    "MIN_YEAR",
-    "MethodProfile",
-    "MonthGrouping",
-    "NotUniformError",
-    "OpEvent",
-    "OpKind",
-    "PackedYearCodes",
-    "StepTrace",
-    "VectorCode",
-    "VerificationSummary",
-    "Weekday",
-    "anchor_years",
-    "century_anchor",
-    "classify",
-    "code_vocabulary",
-    "compare",
-    "doomsday_date",
-    "doomyear",
-    "gaps",
-    "is_leap",
-    "iter_dates",
-    "month_groupings",
-    "month_length",
-    "nearest_anchor",
-    "oracle_weekday",
-    "rotate_code",
-    "square_knot_backward",
-    "square_knot_forward",
-    "system",
-    "trace_calamity",
-    "trace_standard",
-    "vector_code",
-    "verify_range",
-    "weekday_calamity",
-    "weekday_calamity_backward",
-    "weekday_calamity_traced",
-    "weekday_standard",
-    "year_offset_arithmetic",
-    "year_offset_doomyear",
-    "zero_month_count",
-]
+# The imports above are the one declaration of the public API: export
+# every public name they bind, sorted, except the submodules themselves.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, type(core))
+)

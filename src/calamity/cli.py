@@ -41,7 +41,7 @@ _DEFAULT_VERIFY_END = 2599
 Payload = dict[str, Any]
 
 #: A handler's exit code, with its payload unless it has already written
-#: its message to stderr.
+#: a usage error to stderr.
 Result = int | tuple[int, Payload]
 
 # [0-9], not \d: \d also matches non-ASCII digits such as "١".
@@ -266,7 +266,11 @@ def _cmd_classify(args: argparse.Namespace) -> Result:
         k = classify(args.dates)
     except NotUniformError as exc:
         print(f"not uniform: {exc}", file=sys.stderr)
-        return 1
+        return 1, {
+            "majority": exc.majority,
+            "offending": list(exc.offending),
+            "offsets": {str(month): offset for month, offset in exc.offsets.items()},
+        }
     except ValueError as exc:
         return _usage_error(str(exc))
     codes = [str(code) for code in system(k).codes]
@@ -274,6 +278,9 @@ def _cmd_classify(args: argparse.Namespace) -> Result:
 
 
 def _classify_lines(payload: Payload) -> list[str]:
+    if "k" not in payload:
+        # Not uniform: the stderr line is the whole text output.
+        return []
     return [
         f"k = {payload['k']}",
         _month_row("month", MONTH_NAMES),
@@ -376,7 +383,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     if isinstance(result, int):
         return result
     code, payload = result
-    print(_render_json(payload) if args.as_json else "\n".join(render(payload)))
+    text = _render_json(payload) if args.as_json else "\n".join(render(payload))
+    if text:
+        print(text)
     return code
 
 

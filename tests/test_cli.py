@@ -153,6 +153,19 @@ def test_classify_not_uniform_exits_1(capsys):
     assert "1" in err
 
 
+def test_classify_not_uniform_json(capsys):
+    # The two strays of test_systems.py's majority-vote test.
+    tokens = list(CONWAY_TOKENS)
+    tokens[3], tokens[8] = "4/5", "9/7"
+    message = "not uniform: months 4, 9 disagree with the majority day shift 0\n"
+    assert run_cli(capsys, "classify", *tokens) == (1, "", message)
+    code, out, err = run_cli(capsys, "classify", *tokens, "--json")
+    assert (code, err) == (1, message)
+    offsets = {str(month): 0 for month in range(1, 13)} | {"4": 1, "9": 2}
+    assert json.loads(out) == {"majority": 0, "offending": [4, 9], "offsets": offsets}
+    assert _round_trips(out)
+
+
 def test_classify_bad_token_exits_2(capsys):
     code, _, _ = run_cli(capsys, "classify", "January/3", *CONWAY_TOKENS[1:])
     assert code == 2
@@ -449,7 +462,7 @@ def test_fuzzed_argv_exits_cleanly(argv):
     assert "Traceback" not in err
     if code == 2:
         assert out == "" and "error:" in err
-    elif argv[0] == "classify" and code == 1:
+    elif argv[0] == "classify" and code == 1 and "--json" not in argv:
         assert out == "" and err.startswith("not uniform: ")
     elif "--json" in argv:
         assert json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n" == out

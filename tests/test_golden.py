@@ -5,16 +5,11 @@ and the exact stdout of one command. Regenerate them with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
-import contextlib
-import io
 import sys
-from pathlib import Path
 
 import pytest
 
-from calamity.cli import main
-
-GOLDEN_DIR = Path(__file__).parent / "golden"
+from transcripts import GOLDEN_DIR, transcript
 
 WANG_TOKENS = ("1/1", "2/12", "3/5", "4/2", "5/7", "6/4",
                "7/9", "8/6", "9/3", "10/8", "11/12", "12/10")
@@ -44,14 +39,6 @@ def _commands() -> dict[str, tuple[str, ...]]:
 
 
 COMMANDS = _commands()
-
-
-def transcript(argv: tuple[str, ...]) -> str:
-    """Command line, exit code and stdout of one ``cli.main`` call."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(list(argv))
-    return f"$ calamity {' '.join(argv)}\n[exit {code}]\n{out.getvalue()}"
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
