@@ -3,8 +3,9 @@
 Five commands: weekday, tables, classify, verify, metrics. Every
 command takes ``--json`` for machine-readable output; the JSON is
 emitted with sorted keys and two-space indentation so that parsing and
-re-dumping it reproduces the bytes exactly. Each handler returns that
-JSON payload, and the command's text renderer reads nothing else.
+re-dumping it reproduces the bytes exactly. Each handler returns its
+exit code with that JSON payload, which is all the command's text
+renderer reads, or raises ``_UsageError`` for ``main`` to report.
 
 Exit codes: 0 on success, 1 when a verification or classification
 fails, 2 on usage or parse errors.
@@ -20,7 +21,7 @@ import sys
 from typing import Any, Iterable, Sequence
 
 from .conway import doomsday_date, weekday_standard
-from .core import MAX_YEAR, MIN_YEAR, Date, oracle_weekday
+from .core import MIN_YEAR, Date, _check_year, oracle_weekday
 from .doomyears import MAX_DISTANCE, doomyear
 from .method import AUTO, StepTrace, weekday_calamity_traced
 from .metrics import MethodProfile, OpKind, compare
@@ -40,12 +41,12 @@ _DEFAULT_VERIFY_END = 2599
 #: What ``--json`` prints for a command, and all its text renderer reads.
 Payload = dict[str, Any]
 
-#: A handler's exit code, with its payload unless it has already written
-#: a usage error to stderr.
-Result = int | tuple[int, Payload]
-
 # [0-9], not \d: \d also matches non-ASCII digits such as "١".
 _TOKEN_PATTERN = re.compile(r"([0-9]{1,2})/([0-9]{1,2})")
+
+
+class _UsageError(Exception):
+    """A handler's usage error: ``main`` prints it and exits 2."""
 
 
 def _render_json(payload: object) -> str:
@@ -68,10 +69,10 @@ def _ascii_number(text: str, noun: str) -> int:
 
 def _year_argument(text: str) -> int:
     year = _ascii_number(text, "a year")
-    if not MIN_YEAR <= year <= MAX_YEAR:
-        raise argparse.ArgumentTypeError(
-            f"year {year} outside supported range {MIN_YEAR}..{MAX_YEAR}"
-        )
+    try:
+        _check_year(year)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return year
 
 
@@ -147,11 +148,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _usage_error(message: str) -> int:
-    print(f"calamity: error: {message}", file=sys.stderr)
-    return 2
-
-
 def _trace_payload(trace: StepTrace) -> dict[str, object]:
     nav = trace.year_navigation
     step = trace.target_gap
@@ -174,9 +170,9 @@ def _trace_payload(trace: StepTrace) -> dict[str, object]:
     }
 
 
-def _cmd_weekday(args: argparse.Namespace) -> Result:
+def _cmd_weekday(args: argparse.Namespace) -> tuple[int, Payload]:
     if args.method != "calamity" and (args.trace or args.direction is not None):
-        return _usage_error("--trace and --direction apply to --method calamity only")
+        raise _UsageError("--trace and --direction apply to --method calamity only")
     payload: Payload = {"date": str(args.date), "method": args.method}
     if args.method == "oracle":
         day = oracle_weekday(args.date)
@@ -215,9 +211,9 @@ def _month_row(label: str, cells: Iterable[object]) -> str:
     return "  " + label.ljust(8) + "".join(str(cell).rjust(5) for cell in cells)
 
 
-def _cmd_tables(args: argparse.Namespace) -> Result:
+def _cmd_tables(args: argparse.Namespace) -> tuple[int, Payload]:
     if not 0 <= args.system <= 6:
-        return _usage_error(f"system {args.system} outside 0..6")
+        raise _UsageError(f"system {args.system} outside 0..6")
     sys_k = system(args.system)
     codes = [sys_k.code(month, args.leap) for month in range(1, 13)]
     anchors = {label: int(sys_k.century_anchor(rep)) for rep, label in CENTURY_LABELS}
@@ -261,7 +257,7 @@ def _tables_lines(payload: Payload) -> list[str]:
     return lines
 
 
-def _cmd_classify(args: argparse.Namespace) -> Result:
+def _cmd_classify(args: argparse.Namespace) -> tuple[int, Payload]:
     try:
         k = classify(args.dates)
     except NotUniformError as exc:
@@ -272,7 +268,7 @@ def _cmd_classify(args: argparse.Namespace) -> Result:
             "offsets": {str(month): offset for month, offset in exc.offsets.items()},
         }
     except ValueError as exc:
-        return _usage_error(str(exc))
+        raise _UsageError(str(exc)) from None
     codes = [str(code) for code in system(k).codes]
     return 0, {"k": k, "codes": codes}
 
@@ -288,9 +284,9 @@ def _classify_lines(payload: Payload) -> list[str]:
     ]
 
 
-def _cmd_verify(args: argparse.Namespace) -> Result:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, Payload]:
     if args.start > args.end:
-        return _usage_error(f"reversed year range {args.start}..{args.end}")
+        raise _UsageError(f"reversed year range {args.start}..{args.end}")
     summary = verify_range(args.start, args.end)
     return 0 if summary.ok else 1, {
         "start_year": summary.start_year,
@@ -335,9 +331,9 @@ def _profile_payload(profile: MethodProfile) -> dict[str, object]:
     }
 
 
-def _cmd_metrics(args: argparse.Namespace) -> Result:
+def _cmd_metrics(args: argparse.Namespace) -> tuple[int, Payload]:
     if args.start > args.end:
-        return _usage_error(f"reversed year range {args.start}..{args.end}")
+        raise _UsageError(f"reversed year range {args.start}..{args.end}")
     report = compare(args.start, args.end)
     return 0, {
         "start_year": report.start_year,
@@ -379,10 +375,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     handler, render = _HANDLERS[args.command]
-    result = handler(args)
-    if isinstance(result, int):
-        return result
-    code, payload = result
+    try:
+        code, payload = handler(args)
+    except _UsageError as exc:
+        print(f"calamity: error: {exc}", file=sys.stderr)
+        return 2
     text = _render_json(payload) if args.as_json else "\n".join(render(payload))
     if text:
         print(text)

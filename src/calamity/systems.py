@@ -93,10 +93,9 @@ class NotUniformError(Exception):
         self.offending = tuple(
             sorted(month for month, off in self.offsets.items() if off != self.majority)
         )
+        noun, verb = ("month", "disagrees") if len(self.offending) == 1 else ("months", "disagree")
         months = ", ".join(str(month) for month in self.offending)
-        super().__init__(
-            f"months {months} disagree with the majority day shift {self.majority}"
-        )
+        super().__init__(f"{noun} {months} {verb} with the majority day shift {self.majority}")
 
 
 def classify(dates: Sequence[tuple[int, int]]) -> int:

@@ -5,8 +5,10 @@ no third-party package, so it shows on any supported Python, before
 pytest is installed, that the package and its input contract need none.
 It checks:
 
-* every ``tests/golden/*`` file against a fresh run of the command line
-  on its own first line,
+* every ``tests/golden/*`` file against a fresh run of the command on
+  its own first line, the one place a golden's command is written (to
+  add one, write a file holding only its ``$ calamity …`` line, run
+  ``PYTHONPATH=src python tests/test_golden.py`` and review the diff),
 * that ``calamity weekday`` rejects non-ISO dates with exit code 2,
 * that all four weekday routes agree on every date of 2000.
 
@@ -20,7 +22,7 @@ import sys
 from calamity.cli import main
 from calamity.verify import differential_sweep
 
-from transcripts import GOLDEN_DIR, transcript
+from transcripts import GOLDEN_DIR, golden_argv, transcript
 
 #: Basic format, ISO week date, a time part, and Arabic-Indic digits.
 REJECTED_DATES = ("20251225", "2025-W52-4", "2025-12-25T00", "٢٠٢٥-١٢-٢٥")
@@ -29,9 +31,7 @@ REJECTED_DATES = ("20251225", "2025-W52-4", "2025-12-25T00", "٢٠٢٥-١٢-٢٥
 def golden_mismatches() -> list[str]:
     mismatches = []
     for path in sorted(GOLDEN_DIR.iterdir()):
-        expected = path.read_text(encoding="utf-8")
-        command = expected.split("\n", 1)[0].removeprefix("$ calamity ")
-        if transcript(tuple(command.split(" "))) != expected:
+        if transcript(golden_argv(path)) != path.read_text(encoding="utf-8"):
             mismatches.append(f"{path.name}: output differs from the golden file")
     return mismatches
 

@@ -166,6 +166,16 @@ def test_classify_not_uniform_json(capsys):
     assert _round_trips(out)
 
 
+def test_classify_one_offender_is_singular(capsys):
+    tokens = ["1/5"] + CONWAY_TOKENS[1:]
+    message = "not uniform: month 1 disagrees with the majority day shift 0\n"
+    assert run_cli(capsys, "classify", *tokens) == (1, "", message)
+    code, out, err = run_cli(capsys, "classify", *tokens, "--json")
+    assert (code, err) == (1, message)
+    offsets = {str(month): 0 for month in range(1, 13)} | {"1": 2}
+    assert json.loads(out) == {"majority": 0, "offending": [1], "offsets": offsets}
+
+
 def test_classify_bad_token_exits_2(capsys):
     code, _, _ = run_cli(capsys, "classify", "January/3", *CONWAY_TOKENS[1:])
     assert code == 2
@@ -383,6 +393,25 @@ def test_non_ascii_or_malformed_input_exits_2(capsys, argv):
     assert out == ""
     assert "error:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("json_flag", [(), ("--json",)])
+@pytest.mark.parametrize("argv, err", [
+    (("weekday", "2025-12-25", "--method", "standard", "--trace"),
+     "calamity: error: --trace and --direction apply to --method calamity only\n"),
+    (("classify", "1/3", "1/4", *CONWAY_TOKENS[2:]), "calamity: error: month 1 given twice\n"),
+    (("classify", "1/32", *CONWAY_TOKENS[1:]),
+     "calamity: error: day 32 outside 1..31 for month 1\n"),
+    (("verify", "2001", "2000"), "calamity: error: reversed year range 2001..2000\n"),
+    (("metrics", "2001", "2000"), "calamity: error: reversed year range 2001..2000\n"),
+    (("verify", "1582", "2000"),
+     "usage: calamity verify [-h] [--json] [start] [end]\n"
+     "calamity verify: error: argument start: year 1582 outside supported range 1583..9999\n"),
+])
+def test_usage_error_bytes(capsys, monkeypatch, argv, err, json_flag):
+    # argparse wraps its usage line to the terminal width.
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv, *json_flag) == (2, "", err)
 
 
 def test_closed_pipe_exits_without_traceback():

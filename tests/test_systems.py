@@ -114,7 +114,7 @@ def test_classify_not_uniform():
     with pytest.raises(NotUniformError) as exc_info:
         classify(perturbed)
     assert exc_info.value.offending == (1,)
-    assert "1" in str(exc_info.value)
+    assert str(exc_info.value) == "month 1 disagrees with the majority day shift 0"
 
 
 def test_classify_majority_vote_reports_the_minority():

@@ -11,6 +11,15 @@ from pathlib import Path
 from calamity.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+PROMPT = "$ calamity "
+
+
+def golden_argv(path: Path) -> tuple[str, ...]:
+    """The command on a golden file's first line, the one place it is written."""
+    line = path.read_text(encoding="utf-8").split("\n", 1)[0]
+    if not line.startswith(PROMPT):
+        raise ValueError(f"{path.name}: first line does not start with {PROMPT!r}")
+    return tuple(line.removeprefix(PROMPT).split(" "))
 
 
 def transcript(argv: tuple[str, ...]) -> str:
@@ -18,4 +27,4 @@ def transcript(argv: tuple[str, ...]) -> str:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(list(argv))
-    return f"$ calamity {' '.join(argv)}\n[exit {code}]\n{out.getvalue()}"
+    return f"{PROMPT}{' '.join(argv)}\n[exit {code}]\n{out.getvalue()}"
