@@ -216,7 +216,7 @@ def _cmd_tables(args: argparse.Namespace) -> tuple[int, Payload]:
         raise _UsageError(f"system {args.system} outside 0..6")
     sys_k = system(args.system)
     codes = [sys_k.code(month, args.leap) for month in range(1, 13)]
-    anchors = {label: int(sys_k.century_anchor(rep)) for rep, label in CENTURY_LABELS}
+    anchors = {label: sys_k.century_anchor(rep) for rep, label in CENTURY_LABELS}
     return 0, {
         "system": args.system,
         "leap": args.leap,

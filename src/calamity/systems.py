@@ -13,9 +13,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
-from . import conway
-from .conway import DOOMSDAY_DATES, doomsday_date
-from .core import COMMON_MONTH_LENGTHS, WEEKDAYS, Date, Weekday, is_leap
+from .conway import CENTURY_ANCHORS, DOOMSDAY_DATES, doomsday_date
+from .core import COMMON_MONTH_LENGTHS, WEEKDAYS, Date, Weekday, _check_year, is_leap
 from .doomyears import year_offset_doomyear
 from .vector import VectorCode, square_knot_forward
 
@@ -28,6 +27,17 @@ def _code_for_residue(residue: int) -> VectorCode:
 
 #: The rotation cycle in residue order: _ROTATION[r] is the code for residue r.
 _ROTATION = tuple(_code_for_residue(r) for r in range(7))
+
+
+def _month_codes(k: int, leap: bool) -> tuple[VectorCode, ...]:
+    """Class k's code for each month: the anchor day's residue moved k days."""
+    return tuple(_ROTATION[(doomsday_date(month, leap) + k) % 7] for month in range(1, 13))
+
+
+#: Each class's own tables, built once: _MONTH_CODES[k][leap][month - 1]
+#: and _CENTURY_ANCHORS[k][century % 4], the classic anchors moved k days.
+_MONTH_CODES = tuple((_month_codes(k, False), _month_codes(k, True)) for k in range(7))
+_CENTURY_ANCHORS = tuple(tuple((anchor + k) % 7 for anchor in CENTURY_ANCHORS) for k in range(7))
 
 
 @dataclass(frozen=True)
@@ -49,29 +59,30 @@ class AnchorSystem:
 
     def century_anchor(self, year: int) -> int:
         """Shifted century anchor for ``year``."""
-        return self.shift_century(conway.century_anchor(year))
+        _check_year(year)
+        return _CENTURY_ANCHORS[self.k][(year // 100) % 4]
 
     def code(self, month: int, leap: bool = False) -> VectorCode:
         """Month code from this class's leap-aware residue."""
-        return _ROTATION[(doomsday_date(month, leap) + self.k) % 7]
+        if not 1 <= month <= 12:
+            raise ValueError(f"month {month} outside 1..12")
+        return _MONTH_CODES[self.k][bool(leap)][month - 1]
 
     def weekday(self, date: Date) -> Weekday:
         """End-to-end weekday using this system's tables only."""
-        offset = square_knot_forward(date.day, self.code(date.month, is_leap(date.year)))
-        total = self.century_anchor(date.year) + year_offset_doomyear(date.year % 100) + offset
-        return WEEKDAYS[total % 7]
+        year = date.year
+        code = _MONTH_CODES[self.k][is_leap(year)][date.month - 1]
+        total = _CENTURY_ANCHORS[self.k][(year // 100) % 4] + year_offset_doomyear(year % 100)
+        return WEEKDAYS[(total + square_knot_forward(date.day, code)) % 7]
 
 
 def system(k: int) -> AnchorSystem:
     """Canonical representative of equivalence class ``k``."""
     if not 0 <= k <= 6:
         raise ValueError(f"system index {k} outside 0..6")
-    residues = tuple((d + k) % 7 for d in DOOMSDAY_DATES)
-    return AnchorSystem(
-        k=k,
-        residues=residues,
-        codes=tuple(_ROTATION[r] for r in residues),
-    )
+    codes = _MONTH_CODES[k][False]
+    # A code's units digit is its residue: _ROTATION[r].units == r.
+    return AnchorSystem(k=k, residues=tuple(code.units for code in codes), codes=codes)
 
 
 def rotate_code(code: VectorCode) -> VectorCode:

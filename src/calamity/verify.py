@@ -8,7 +8,6 @@ independent computations of every weekday in the range must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .conway import (
     doomsday_date,
@@ -60,18 +59,20 @@ class VerificationSummary:
 class _Recorder:
     """Collects failures, keeping only the first few as examples."""
 
+    __slots__ = ("cases", "failures", "examples")
+
     def __init__(self) -> None:
         self.cases = 0
         self.failures = 0
         self.examples: list[str] = []
 
-    def case(self, ok: bool, detail: Callable[[], str]) -> None:
-        """Count one case; ``detail`` formats the counterexample, only if needed."""
+    def case(self, ok: bool, template: str, *values: object) -> None:
+        """Count one case; a kept counterexample is ``template.format(*values)``."""
         self.cases += 1
         if not ok:
             self.failures += 1
             if len(self.examples) < MAX_EXAMPLES:
-                self.examples.append(detail())
+                self.examples.append(template.format(*values))
 
     def result(self, name: str) -> CheckResult:
         return CheckResult(name, self.cases, self.failures, tuple(self.examples))
@@ -87,7 +88,7 @@ def differential_sweep(start_year: int, end_year: int) -> CheckResult:
         b = weekday_calamity_backward(date)
         rec.case(
             o == s == f == b,
-            lambda: f"{date}: oracle={o:d} standard={s:d} forward={f:d} backward={b:d}",
+            "{}: oracle={:d} standard={:d} forward={:d} backward={:d}", date, o, s, f, b,
         )
     return rec.result("differential")
 
@@ -103,7 +104,7 @@ def month_code_check() -> CheckResult:
             derived = code.tens == pair.backward and code.units == pair.forward
             rec.case(
                 derived and code in vocabulary,
-                lambda: f"month {month} leap={leap}: code {code} vs gaps {pair}",
+                "month {} leap={}: code {} vs gaps {}", month, leap, code, pair,
             )
     return rec.result("month-codes")
 
@@ -118,10 +119,7 @@ def square_knot_check() -> CheckResult:
             for day in range(1, month_length(sample_year, month) + 1):
                 forward_ok = square_knot_forward(day, code) == (day - anchor_day) % 7
                 backward_ok = square_knot_backward(day, code) == (anchor_day - day) % 7
-                rec.case(
-                    forward_ok and backward_ok,
-                    lambda: f"month {month} leap={leap} day {day}",
-                )
+                rec.case(forward_ok and backward_ok, "month {} leap={} day {}", month, leap, day)
     return rec.result("square-knot")
 
 
@@ -137,7 +135,7 @@ def year_table_check() -> CheckResult:
             and packed.F == 10 * distance + row.forward_digit
             and packed.B == 10 * distance + row.backward_digit
             and packed.D == 100 * distance + 10 * row.backward_digit + row.forward_digit,
-            lambda: f"distance {distance}",
+            "distance {}", distance,
         )
     return rec.result("year-table")
 
@@ -150,14 +148,14 @@ def year_offset_check() -> CheckResult:
         rec.case(
             nav.distance <= MAX_DISTANCE
             and year_offset_doomyear(yy) == year_offset_arithmetic(yy),
-            lambda: f"yy={yy:02d}: nav={nav}",
+            "yy={:02d}: nav={}", yy, nav,
         )
     for anchor in anchor_years():
-        rec.case(year_offset_arithmetic(anchor) == 0, lambda: f"anchor {anchor} has nonzero offset")
+        rec.case(year_offset_arithmetic(anchor) == 0, "anchor {} has nonzero offset", anchor)
     for y in range(72):
         rec.case(
             year_offset_arithmetic(y + 28) == year_offset_arithmetic(y),
-            lambda: f"period break at {y}",
+            "period break at {}", y,
         )
     return rec.result("year-offset")
 
@@ -181,18 +179,21 @@ def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
         rotated = system((k + 1) % 7)
         for month in range(1, 13):
             code = sys_k.codes[month - 1]
-            rec.case(code in vocabulary, lambda: f"k={k} month {month}: code {code} not in vocabulary")
+            rec.case(
+                code in vocabulary,
+                "k={} month {}: code {} not in vocabulary", k, month, code,
+            )
             rec.case(
                 rotate_code(code) == rotated.codes[month - 1],
-                lambda: f"k={k} month {month}: rotation mismatch",
+                "k={} month {}: rotation mismatch", k, month,
             )
-        rec.case(classify(_representative_dates(k)) == k, lambda: f"k={k}: classify round trip")
+        rec.case(classify(_representative_dates(k)) == k, "k={}: classify round trip", k)
         zero_months = zero_month_count(k)
         expected_zero = len(grouping.groups.get((7 - k) % 7, frozenset()))
-        rec.case(zero_months == expected_zero, lambda: f"k={k}: zero-month count {zero_months}")
+        rec.case(zero_months == expected_zero, "k={}: zero-month count {}", k, zero_months)
         rec.case(
             zero_months == 3 if k == 0 else zero_months <= 2,
-            lambda: f"k={k}: zero-month optimality violated ({zero_months})",
+            "k={}: zero-month optimality violated ({})", k, zero_months,
         )
 
     sweep_end = min(end_year, start_year + CYCLE_YEARS - 1)
@@ -202,7 +203,7 @@ def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
         for sys_k in systems:
             rec.case(
                 sys_k.weekday(date) == expected,
-                lambda: f"k={sys_k.k} {date}: system weekday != oracle",
+                "k={} {}: system weekday != oracle", sys_k.k, date,
             )
     return rec.result("anchor-systems")
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from calamity import verify as verify_module
+from calamity import systems as systems_module, verify as verify_module
 from calamity.cli import main
 from calamity.core import Weekday
 
@@ -269,6 +269,66 @@ def test_verify_backward_failure_text(capsys, backward_off_on_13th):
 
 def test_verify_backward_failure_json(capsys, backward_off_on_13th):
     _assert_verify_fails_json(capsys, BACKWARD_FAULT_EXAMPLES)
+
+
+SYSTEM_FAULT_EXAMPLES = [f"k={k} 2000-01-13: system weekday != oracle" for k in range(5)]
+
+SYSTEM_FAULT_TEXT = "\n".join([
+    "verify 2000..2000",
+    "  differential         366 cases  ok",
+    "  month-codes           24 cases  ok",
+    "  square-knot          731 cases  ok",
+    "  year-table            16 cases  ok",
+    "  year-offset          176 cases  ok",
+    "  anchor-systems      2751 cases  84 FAILED",
+    *(f"    {example}" for example in SYSTEM_FAULT_EXAMPLES),
+    "dates tested: 366",
+    "failures: 84",
+]) + "\n"
+
+
+@pytest.fixture
+def system_off_on_13th(monkeypatch):
+    """Make the square-knot step the anchor systems run one day late on the 13th."""
+    real = systems_module.square_knot_forward
+
+    def faulty(day, code):
+        offset = real(day, code)
+        return (offset + 1) % 7 if day == 13 else offset
+
+    monkeypatch.setattr(systems_module, "square_knot_forward", faulty)
+
+
+def test_verify_system_failure_text(capsys, system_off_on_13th):
+    assert run_cli(capsys, "verify", "2000", "2000") == (1, SYSTEM_FAULT_TEXT, "")
+
+
+def test_verify_system_failure_json(capsys, system_off_on_13th):
+    checks = [
+        {"name": name, "cases": cases, "failures": 0, "examples": []}
+        for name, cases in (
+            ("differential", 366),
+            ("month-codes", 24),
+            ("square-knot", 731),
+            ("year-table", 16),
+            ("year-offset", 176),
+        )
+    ]
+    checks.append({
+        "name": "anchor-systems",
+        "cases": 2751,
+        "failures": 84,
+        "examples": SYSTEM_FAULT_EXAMPLES,
+    })
+    payload = {
+        "checks": checks,
+        "dates_tested": 366,
+        "end_year": 2000,
+        "ok": False,
+        "start_year": 2000,
+    }
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert run_cli(capsys, "verify", "2000", "2000", "--json") == (1, expected, "")
 
 
 def test_verify_reversed_range_exits_2(capsys):

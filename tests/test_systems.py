@@ -3,10 +3,11 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from calamity import verify
-from calamity.conway import DOOMSDAY_DATES
+from calamity import conway, verify
+from calamity.conway import DOOMSDAY_DATES, doomsday_date
 from calamity.core import Date, Weekday, iter_dates, oracle_weekday
 from calamity.systems import (
+    _ROTATION,
     NotUniformError,
     classify,
     month_groupings,
@@ -177,6 +178,26 @@ def test_century_anchor_shifts():
     # classic doomsday.
     assert system(5).century_anchor(2001) == 0
     assert system(5).shift_century(2) == 0
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_code_table_follows_the_residue_rule(k):
+    for leap in (False, True):
+        for month in range(1, 13):
+            expected = _ROTATION[(doomsday_date(month, leap) + k) % 7]
+            assert system(k).code(month, leap) == expected
+    for month in (0, 13):
+        with pytest.raises(ValueError, match="outside 1..12"):
+            system(k).code(month)
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_century_table_follows_the_shift_rule(k):
+    for year in (1600, 1700, 1800, 1900):
+        assert system(k).century_anchor(year) == (conway.century_anchor(year) + k) % 7
+    for year in (1582, 10000):
+        with pytest.raises(ValueError, match="outside supported range"):
+            system(k).century_anchor(year)
 
 
 @given(st.integers(0, 6), dates())

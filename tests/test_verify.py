@@ -1,7 +1,7 @@
 """The verification sweeps over the whole supported range."""
 
 from calamity.core import MAX_YEAR, MIN_YEAR
-from calamity.verify import differential_sweep
+from calamity.verify import MAX_EXAMPLES, _Recorder, differential_sweep
 
 
 def test_differential_sweep_full_range():
@@ -10,3 +10,21 @@ def test_differential_sweep_full_range():
     assert result.cases == 3_074_246
     assert result.failure_count == 0
     assert result.examples == ()
+
+
+def test_recorder_formats_only_the_examples_it_keeps():
+    formatted = []
+
+    class Probe:
+        def __format__(self, spec):
+            formatted.append(spec)
+            return f"probe:{spec}"
+
+    rec = _Recorder()
+    rec.case(True, "{}", Probe())
+    for _ in range(MAX_EXAMPLES + 3):
+        rec.case(False, "case {:d}", Probe())
+    result = rec.result("probe")
+    assert (result.cases, result.failure_count) == (MAX_EXAMPLES + 4, MAX_EXAMPLES + 3)
+    assert result.examples == ("case probe:d",) * MAX_EXAMPLES
+    assert formatted == ["d"] * MAX_EXAMPLES
