@@ -40,12 +40,6 @@ class OpKind(str, enum.Enum):
         return self.value
 
 
-_DIVISION_KINDS = frozenset({OpKind.INT_DIVISION})
-# Sign correction reduces a sum that can be large or negative, so it
-# counts as a mod reduction on a large value.
-_LARGE_MOD_KINDS = frozenset({OpKind.MOD_REDUCE_LARGE, OpKind.SIGN_CORRECT})
-
-
 @dataclass(frozen=True, slots=True)
 class OpEvent:
     """One recorded mental operation.
@@ -74,18 +68,14 @@ def trace_standard(date: Date) -> list[OpEvent]:
     omega = added % 7
     anchor_day = doomsday_date(date.month, is_leap(date.year))
     delta = date.day - anchor_day
-    corrected = (century_anchor(date.year) + omega + delta) % 7
+    century = century_anchor(date.year)
+    corrected = (century + omega + delta) % 7
     return [
         OpEvent(OpKind.INT_DIVISION, (yy, 4), quotient),
         OpEvent(OpKind.MULTIDIGIT_ADD, (yy, quotient), added, depends_on=(0,)),
         OpEvent(OpKind.MOD_REDUCE_LARGE, (added, 7), omega, depends_on=(1,)),
         OpEvent(OpKind.SMALL_SUBTRACT, (date.day, anchor_day), abs(delta), depends_on=(2,)),
-        OpEvent(
-            OpKind.SIGN_CORRECT,
-            (century_anchor(date.year), omega, delta),
-            corrected,
-            depends_on=(3,),
-        ),
+        OpEvent(OpKind.SIGN_CORRECT, (century, omega, delta), corrected, depends_on=(3,)),
     ]
 
 
@@ -155,16 +145,18 @@ class ComparisonReport:
     calamity: MethodProfile
 
 
-def _profile(signature: tuple[OpKind, ...], depth: int, peak: int) -> MethodProfile:
-    counted = Counter(signature)
-    counts = {kind: counted.get(kind, 0) for kind in OpKind}
+def _profile(events: Sequence[OpEvent], peak: int) -> MethodProfile:
+    """One method's profile from its first date's events and its sweep-wide peak."""
+    counted = Counter(e.kind for e in events)
     return MethodProfile(
-        counts=counts,
-        total=len(signature),
-        serial_depth=depth,
+        counts={kind: counted[kind] for kind in OpKind},
+        total=len(events),
+        serial_depth=serial_depth(events),
         max_intermediate=peak,
-        divisions=sum(counted.get(kind, 0) for kind in _DIVISION_KINDS),
-        large_mod_reductions=sum(counted.get(kind, 0) for kind in _LARGE_MOD_KINDS),
+        divisions=counted[OpKind.INT_DIVISION],
+        # Sign correction reduces a sum that can be large or negative, so it
+        # counts as a mod reduction on a large value.
+        large_mod_reductions=counted[OpKind.MOD_REDUCE_LARGE] + counted[OpKind.SIGN_CORRECT],
     )
 
 
@@ -186,29 +178,25 @@ def compare(start_year: int, end_year: int) -> ComparisonReport:
     """
     scanned = sum(366 if is_leap(y) else 365 for y in range(start_year, end_year + 1))
 
-    std_signature: tuple[OpKind, ...] | None = None
-    cal_signature: tuple[OpKind, ...] | None = None
-    std_depth = cal_depth = 0
-    std_peak = cal_peak = 0
+    # Per method, in (standard, calamity) order.
+    first: tuple[list[OpEvent], ...] = ()
+    signatures: list[list[OpKind]] = []
+    peaks = [0, 0]
     window_end = min(end_year, start_year + CYCLE_YEARS - 1)
     for date in iter_dates(start_year, window_end):
-        std = trace_standard(date)
-        cal = trace_calamity(date)
-        signature = tuple(e.kind for e in std)
-        cal_sig = tuple(e.kind for e in cal)
-        if std_signature is None:
-            std_signature, cal_signature = signature, cal_sig
-            std_depth, cal_depth = serial_depth(std), serial_depth(cal)
-        elif signature != std_signature or cal_sig != cal_signature:
+        traced = (trace_standard(date), trace_calamity(date))
+        kinds = [[e.kind for e in events] for events in traced]
+        if not first:
+            first, signatures = traced, kinds
+        elif kinds != signatures:
             raise RuntimeError(f"operation signature changed at {date}")
-        std_peak = max(std_peak, max_intermediate(std))
-        cal_peak = max(cal_peak, max_intermediate(cal))
+        peaks = [max(peak, max_intermediate(events)) for peak, events in zip(peaks, traced)]
 
-    assert std_signature is not None and cal_signature is not None
+    standard, calamity = map(_profile, first, peaks)
     return ComparisonReport(
         start_year=start_year,
         end_year=end_year,
         dates_scanned=scanned,
-        standard=_profile(std_signature, std_depth, std_peak),
-        calamity=_profile(cal_signature, cal_depth, cal_peak),
+        standard=standard,
+        calamity=calamity,
     )

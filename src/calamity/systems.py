@@ -35,7 +35,9 @@ def _month_codes(k: int, leap: bool) -> tuple[VectorCode, ...]:
 
 
 #: Each class's own tables, built once: _MONTH_CODES[k][leap][month - 1]
-#: and _CENTURY_ANCHORS[k][century % 4], the classic anchors moved k days.
+#: and _CENTURY_ANCHORS[k][century % 4]. Class k's anchor dates sit k days
+#: after the classic ones, so their shared weekday, and with it every
+#: century anchor, moves k days forward.
 _MONTH_CODES = tuple((_month_codes(k, False), _month_codes(k, True)) for k in range(7))
 _CENTURY_ANCHORS = tuple(tuple((anchor + k) % 7 for anchor in CENTURY_ANCHORS) for k in range(7))
 
@@ -47,15 +49,6 @@ class AnchorSystem:
     k: int
     residues: tuple[int, ...]
     codes: tuple[VectorCode, ...]
-
-    def shift_century(self, anchor: int) -> int:
-        """Century anchor adjusted for this system.
-
-        The system's anchor dates sit k days after the classic ones, so
-        their shared weekday, and with it every century anchor, moves k
-        days forward.
-        """
-        return (anchor + self.k) % 7
 
     def century_anchor(self, year: int) -> int:
         """Shifted century anchor for ``year``."""

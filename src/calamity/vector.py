@@ -90,7 +90,7 @@ def vector_code(month: int, leap: bool = False) -> VectorCode:
     """Code of ``month``'s anchor date, honoring the leap-year overrides."""
     if not 1 <= month <= 12:
         raise ValueError(f"month {month} outside 1..12")
-    return _CODES[month, leap]
+    return _CODES[month, bool(leap)]
 
 
 def square_knot_forward(day: int, code: VectorCode) -> int:

@@ -1,5 +1,6 @@
 """Operation accounting for the two methods."""
 
+import dataclasses
 import datetime
 
 import pytest
@@ -200,15 +201,26 @@ def test_compare_traces_every_date_of_a_short_range(traced_dates):
     assert report.dates_scanned == len(every)
 
 
-def test_compare_reports_first_signature_change(monkeypatch):
+def _shorter(events):
+    return events[:-1]
+
+
+def _relabelled(events):
+    # Same length; only the last event's kind differs.
+    return events[:-1] + [dataclasses.replace(events[-1], kind=events[0].kind)]
+
+
+@pytest.mark.parametrize("change", [_shorter, _relabelled], ids=["shorter", "relabelled"])
+@pytest.mark.parametrize("trace", ["trace_standard", "trace_calamity"])
+def test_compare_reports_first_signature_change(monkeypatch, trace, change):
     changed = Date(1700, 3, 1)
-    original = trace_calamity
+    original = getattr(metrics, trace)
 
-    def shorter_at_changed(date):
+    def changed_at(date):
         events = original(date)
-        return events[:-1] if date == changed else events
+        return change(events) if date == changed else events
 
-    monkeypatch.setattr(metrics, "trace_calamity", shorter_at_changed)
+    monkeypatch.setattr(metrics, trace, changed_at)
     with pytest.raises(RuntimeError, match="1700-03-01"):
         compare(1600, 2100)
 

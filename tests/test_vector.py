@@ -88,6 +88,13 @@ def test_month_codes_leap_overrides():
         assert vector_code(month, leap=True) == vector_code(month)
 
 
+@pytest.mark.parametrize("leap", [0, 1, 2, None])
+def test_vector_code_takes_leap_by_truthiness(leap):
+    # As doomsday_date and AnchorSystem.code do.
+    for month in range(1, 13):
+        assert vector_code(month, leap) == vector_code(month, bool(leap))
+
+
 def test_code_comes_from_anchor_gaps():
     for leap in (False, True):
         for month in range(1, 13):
