@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+from dataclasses import asdict
 from typing import Any, Iterable, Sequence
 
 from .conway import doomsday_date, weekday_standard
@@ -149,23 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _trace_payload(trace: StepTrace) -> dict[str, object]:
-    nav = trace.year_navigation
-    step = trace.target_gap
     return {
         "century_anchor": trace.century_anchor,
-        "year": {
-            "anchor": nav.anchor,
-            "distance": nav.distance,
-            "direction": nav.direction.value,
-            "digit": nav.digit,
-        },
+        "year": trace.year_navigation._asdict(),
         "month_code": str(trace.month_code),
-        "month_step": {
-            "direction": step.direction.value,
-            "gap": step.gap,
-            "digit": step.digit,
-            "offset": trace.month_offset,
-        },
+        "month_step": {**trace.target_gap._asdict(), "offset": trace.month_offset},
         "final": int(trace.final),
     }
 
@@ -225,12 +214,7 @@ def _cmd_tables(args: argparse.Namespace) -> tuple[int, Payload]:
             for month, code in enumerate(codes, start=1)
         ],
         "years": [
-            {
-                "distance": row.distance,
-                "F": row.packed.F,
-                "B": row.packed.B,
-                "D": row.packed.D,
-            }
+            {"distance": row.distance, **asdict(row.packed)}
             for row in map(doomyear, range(MAX_DISTANCE + 1))
         ],
         "century_anchors": anchors,
@@ -264,7 +248,7 @@ def _cmd_classify(args: argparse.Namespace) -> tuple[int, Payload]:
         print(f"not uniform: {exc}", file=sys.stderr)
         return 1, {
             "majority": exc.majority,
-            "offending": list(exc.offending),
+            "offending": exc.offending,
             "offsets": {str(month): offset for month, offset in exc.offsets.items()},
         }
     except ValueError as exc:
@@ -298,7 +282,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, Payload]:
                 "name": check.name,
                 "cases": check.cases,
                 "failures": check.failure_count,
-                "examples": list(check.examples),
+                "examples": check.examples,
             }
             for check in summary.checks
         ],

@@ -142,6 +142,8 @@ def iter_dates(start_year: int, end_year: int) -> Iterator[Date]:
     """Every date from Jan 1 of ``start_year`` through Dec 31 of ``end_year``."""
     if start_year > end_year:
         raise ValueError(f"empty year range {start_year}..{end_year}")
+    _check_year(start_year)
+    _check_year(end_year)
     for year in range(start_year, end_year + 1):
         for month in range(1, 13):
             for day in range(1, month_length(year, month) + 1):

@@ -86,8 +86,8 @@ class YearNavigation(NamedTuple):
 def nearest_anchor(yy: int) -> YearNavigation:
     """Nearest anchor year to ``yy``.
 
-    The lone tie, distance 14 both ways, resolves forward from the
-    lower anchor; it is harmless because f(14) = b(14).
+    Ties, distance 14 both ways at 14, 42 and 70, resolve forward from
+    the lower anchor; this is harmless because f(14) = b(14).
     """
     if not 0 <= yy <= 99:
         raise ValueError(f"two-digit year {yy} outside 0..99")

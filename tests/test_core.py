@@ -161,6 +161,11 @@ def test_iter_dates_rejects_reversed_range():
         next(iter_dates(2001, 2000))
 
 
+def test_iter_dates_rejects_an_out_of_range_end_before_sweeping():
+    with pytest.raises(ValueError, match="year 10000 outside supported range"):
+        next(iter_dates(9999, 10000))
+
+
 def test_weekday_names():
     # Enum formatting differs across Python versions; both must give the value.
     assert str(Direction.BACKWARD) == f"{Direction.BACKWARD}" == "backward"

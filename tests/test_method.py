@@ -1,9 +1,10 @@
 """The assembled lookup pipeline and its step trace."""
 
+import pytest
 from hypothesis import given, strategies as st
 
 from calamity import method, verify
-from calamity.core import Date, Direction, Weekday, oracle_weekday
+from calamity.core import CYCLE_YEARS, MIN_YEAR, Date, Direction, Weekday, iter_dates, oracle_weekday
 from calamity.method import AUTO, weekday_calamity, weekday_calamity_backward, weekday_calamity_traced
 from support import dates
 
@@ -75,6 +76,31 @@ def test_traced_forward_answer_is_the_verified_one(monkeypatch):
     day, trace = weekday_calamity_traced(date, Direction.FORWARD)
     assert day == trace.final == Weekday.Friday
     assert trace.recompute() != trace.final
+
+
+def _cycle_recompute_mismatches(direction):
+    # Every trace component reads the year only through year % 400, so one
+    # Gregorian cycle holds every trace ``weekday --trace`` can print.
+    cycle = iter_dates(MIN_YEAR, MIN_YEAR + CYCLE_YEARS - 1)
+    traces = (weekday_calamity_traced(date, direction)[1] for date in cycle)
+    return sum(trace.recompute() != trace.final for trace in traces)
+
+
+def test_every_trace_of_a_cycle_recomposes():
+    assert _cycle_recompute_mismatches(Direction.FORWARD) == 0
+    assert _cycle_recompute_mismatches(Direction.BACKWARD) == 0
+
+
+@pytest.mark.parametrize("faulted", [Direction.FORWARD, Direction.BACKWARD])
+def test_cycle_check_catches_a_wrong_recorded_digit(monkeypatch, faulted):
+    # The answer stays right; only the digit the trace shows is off by one.
+    real = method.MonthStep
+    monkeypatch.setattr(
+        method,
+        "MonthStep",
+        lambda direction, gap, digit: real(direction, gap, digit + (direction is faulted)),
+    )
+    assert _cycle_recompute_mismatches(faulted) == 146_097
 
 
 @given(dates())

@@ -11,6 +11,7 @@ from calamity.conway import century_anchor, weekday_standard
 from calamity.core import MAX_YEAR, Date, iter_dates
 from calamity.method import weekday_calamity
 from calamity.metrics import (
+    OpEvent,
     OpKind,
     compare,
     max_intermediate,
@@ -231,3 +232,15 @@ def test_compare_full_range_matches_default_range():
     assert full.dates_scanned == 3_074_246 == _days(1583, MAX_YEAR)
     assert full.standard == default.standard
     assert full.calamity == default.calamity
+
+
+def test_op_event_is_an_immutable_value():
+    # Whatever record type OpEvent becomes, equal events stay one value
+    # and no field can be reassigned.
+    first = OpEvent(OpKind.SMALL_SUBTRACT, (9, 4), 5, depends_on=(0,))
+    second = OpEvent(OpKind.SMALL_SUBTRACT, (9, 4), 5, depends_on=(0,))
+    assert first == second
+    assert hash(first) == hash(second)
+    assert len({first, second}) == 1
+    with pytest.raises(AttributeError):
+        first.result_magnitude = 6
