@@ -8,7 +8,7 @@ exit code with that JSON payload, which is all the command's text
 renderer reads, or raises ``_UsageError`` for ``main`` to report.
 
 Exit codes: 0 on success, 1 when a verification or classification
-fails, 2 on usage or parse errors.
+fails or the output cannot be written, 2 on usage or parse errors.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .conway import doomsday_date, weekday_standard
 from .core import MIN_YEAR, Date, _check_year, oracle_weekday
 from .doomyears import MAX_DISTANCE, doomyear
 from .method import AUTO, StepTrace, weekday_calamity_traced
-from .metrics import MethodProfile, OpKind, compare
+from .metrics import compare
 from .systems import NotUniformError, classify, system
 from .verify import verify_range
 
@@ -272,21 +272,11 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, Payload]:
     if args.start > args.end:
         raise _UsageError(f"reversed year range {args.start}..{args.end}")
     summary = verify_range(args.start, args.end)
-    return 0 if summary.ok else 1, {
-        "start_year": summary.start_year,
-        "end_year": summary.end_year,
-        "dates_tested": summary.dates_tested,
-        "ok": summary.ok,
-        "checks": [
-            {
-                "name": check.name,
-                "cases": check.cases,
-                "failures": check.failure_count,
-                "examples": check.examples,
-            }
-            for check in summary.checks
-        ],
-    }
+    payload = asdict(summary)
+    for check in payload["checks"]:
+        # The one renamed key: JSON readers have always read "failures".
+        check["failures"] = check.pop("failure_count")
+    return 0 if summary.ok else 1, {**payload, "ok": summary.ok}
 
 
 def _verify_lines(payload: Payload) -> list[str]:
@@ -303,29 +293,10 @@ def _verify_lines(payload: Payload) -> list[str]:
     return lines
 
 
-def _profile_payload(profile: MethodProfile) -> dict[str, object]:
-    return {
-        "counts": {kind.value: profile.counts[kind] for kind in OpKind},
-        "total": profile.total,
-        "serial_depth": profile.serial_depth,
-        "dependency": profile.dependency,
-        "max_intermediate": profile.max_intermediate,
-        "divisions": profile.divisions,
-        "large_mod_reductions": profile.large_mod_reductions,
-    }
-
-
 def _cmd_metrics(args: argparse.Namespace) -> tuple[int, Payload]:
     if args.start > args.end:
         raise _UsageError(f"reversed year range {args.start}..{args.end}")
-    report = compare(args.start, args.end)
-    return 0, {
-        "start_year": report.start_year,
-        "end_year": report.end_year,
-        "dates_scanned": report.dates_scanned,
-        "standard": _profile_payload(report.standard),
-        "calamity": _profile_payload(report.calamity),
-    }
+    return 0, asdict(compare(args.start, args.end))
 
 
 def _metrics_lines(payload: Payload) -> list[str]:
@@ -366,19 +337,22 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     text = _render_json(payload) if args.as_json else "\n".join(render(payload))
     if text:
-        print(text)
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        print(text, flush=True)
     return code
 
 
 def run() -> None:
     try:
         code = main()
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # The reader closed the pipe. Point stdout at devnull so the flush
-        # at interpreter exit cannot raise again (Python docs, "Note on
-        # SIGPIPE" in the signal module).
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    except OSError as exc:
+        # Point fd 1 at devnull so the flush at interpreter exit cannot
+        # raise again (Python docs, "Note on SIGPIPE" in the signal module).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        if not isinstance(exc, BrokenPipeError):
+            # A reader that closed the pipe wants no more output, not a message.
+            print(f"calamity: error: cannot write output: {exc}", file=sys.stderr)
         code = 1
     sys.exit(code)
 

@@ -124,14 +124,11 @@ class MethodProfile:
     counts: Mapping[OpKind, int]
     total: int
     serial_depth: int
+    #: ``serial`` when every event chains; ``independent`` otherwise.
+    dependency: str
     max_intermediate: int
     divisions: int
     large_mod_reductions: int
-
-    @property
-    def dependency(self) -> str:
-        """``serial`` when every event chains; ``independent`` otherwise."""
-        return "serial" if self.serial_depth == self.total else "independent"
 
 
 @dataclass(frozen=True)
@@ -148,10 +145,12 @@ class ComparisonReport:
 def _profile(events: Sequence[OpEvent], peak: int) -> MethodProfile:
     """One method's profile from its first date's events and its sweep-wide peak."""
     counted = Counter(e.kind for e in events)
+    depth = serial_depth(events)
     return MethodProfile(
         counts={kind: counted[kind] for kind in OpKind},
         total=len(events),
-        serial_depth=serial_depth(events),
+        serial_depth=depth,
+        dependency="serial" if depth == len(events) else "independent",
         max_intermediate=peak,
         divisions=counted[OpKind.INT_DIVISION],
         # Sign correction reduces a sum that can be large or negative, so it

@@ -1,6 +1,7 @@
 """Command-line behavior: rendering, exit codes, JSON stability."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from calamity import systems as systems_module, verify as verify_module
 from calamity.cli import main
 from calamity.core import Weekday
+from calamity.metrics import ComparisonReport, MethodProfile
+from calamity.verify import CheckResult, VerificationSummary
 
 WANG_TOKENS = ["1/1", "2/12", "3/5", "4/2", "5/7", "6/4",
                "7/9", "8/6", "9/3", "10/8", "11/12", "12/10"]
@@ -424,6 +427,19 @@ def test_metrics_json(capsys):
     assert _round_trips(out)
 
 
+def test_json_keys_are_the_record_fields(capsys):
+    def names(record):
+        return {field.name for field in dataclasses.fields(record)}
+
+    metrics = json.loads(run_cli(capsys, "metrics", "2000", "2000", "--json")[1])
+    assert set(metrics) == names(ComparisonReport)
+    assert set(metrics["standard"]) == set(metrics["calamity"]) == names(MethodProfile)
+    verify = json.loads(run_cli(capsys, "verify", "2000", "2000", "--json")[1])
+    assert set(verify) == names(VerificationSummary) | {"ok"}
+    for check in verify["checks"]:
+        assert set(check) == names(CheckResult) - {"failure_count"} | {"failures"}
+
+
 def test_unknown_command_exits_2(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
@@ -474,23 +490,38 @@ def test_usage_error_bytes(capsys, monkeypatch, argv, err, json_flag):
     assert run_cli(capsys, *argv, *json_flag) == (2, "", err)
 
 
-def test_closed_pipe_exits_without_traceback():
-    # The read end closes before the child prints anything.
+@pytest.mark.parametrize("stdout, argv, code, err_tail", [
+    # The read end closes before the child prints anything: no message.
+    ("pipe", ["verify", "2000", "2000"], 1, []),
+    ("closed", ["weekday", "2000-01-01"], 1,
+     ["calamity: error: cannot write output: stdout is closed"]),
+    # Nothing was to be written, so the usage error keeps its exit code.
+    ("closed", ["weekday", "nope"], 2,
+     ["calamity weekday: error: argument date: Invalid isoformat string: 'nope'"]),
+    ("/dev/full", ["weekday", "2000-01-01"], 1,
+     ["calamity: error: cannot write output: [Errno 28] No space left on device"]),
+], ids=["closed-pipe", "no-stdout", "no-stdout-usage-error", "full-device"])
+def test_unwritable_stdout_exits_without_traceback(stdout, argv, code, err_tail):
     src = str(Path(__file__).resolve().parent.parent / "src")
     paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "calamity.cli", "verify", "2000", "2000"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        env=env,
-    )
-    proc.stdout.close()
+    with open("/dev/full", "w") as full:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "calamity.cli", *argv],
+            stdout={"pipe": subprocess.PIPE, "closed": None, "/dev/full": full}[stdout],
+            stderr=subprocess.PIPE,
+            env=env,
+            # Started with fd 1 closed, the child has no sys.stdout at all.
+            preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None,
+        )
+    if proc.stdout is not None:
+        proc.stdout.close()
     err = proc.stderr.read().decode()
     proc.stderr.close()
-    assert proc.wait(timeout=60) == 1
+    assert proc.wait(timeout=60) == code
     assert "Traceback" not in err
-    assert "BrokenPipeError" not in err
+    assert err.count("error:") == len(err_tail)
+    assert err.splitlines()[-1:] == err_tail
 
 
 # Tokens for the argv fuzz below.
