@@ -214,7 +214,7 @@ def _cmd_tables(args: argparse.Namespace) -> tuple[int, Payload]:
             for month, code in enumerate(codes, start=1)
         ],
         "years": [
-            {"distance": row.distance, **asdict(row.packed)}
+            {"distance": row.distance, **row.packed._asdict()}
             for row in map(doomyear, range(MAX_DISTANCE + 1))
         ],
         "century_anchors": anchors,

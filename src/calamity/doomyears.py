@@ -10,7 +10,6 @@ those digits so the whole table can be memorized as one number chain.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .conway import year_offset_arithmetic
@@ -23,8 +22,7 @@ ANCHOR_YEARS = (0, 28, 56, 84)
 MAX_DISTANCE = 15
 
 
-@dataclass(frozen=True, slots=True)
-class PackedYearCodes:
+class PackedYearCodes(NamedTuple):
     """Packed numerals of one table row; the distance rides in the leading digits."""
 
     F: int  #: 10 d + f(d)
@@ -32,8 +30,7 @@ class PackedYearCodes:
     D: int  #: 100 d + 10 b(d) + f(d)
 
 
-@dataclass(frozen=True, slots=True)
-class Doomyear:
+class Doomyear(NamedTuple):
     """Year-offset digits at one distance from an anchor year."""
 
     distance: int

@@ -9,7 +9,6 @@ subtraction, so the computation can be checked by eye.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple, Union
 
 from .conway import century_anchor
@@ -29,8 +28,7 @@ class MonthStep(NamedTuple):
     digit: int
 
 
-@dataclass(frozen=True, slots=True)
-class StepTrace:
+class StepTrace(NamedTuple):
     """Every component of one weekday computation."""
 
     century_anchor: int

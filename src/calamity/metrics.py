@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .conway import century_anchor, doomsday_date
 from .core import CYCLE_YEARS, Date, Direction, is_leap, iter_dates
@@ -40,8 +40,7 @@ class OpKind(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, slots=True)
-class OpEvent:
+class OpEvent(NamedTuple):
     """One recorded mental operation.
 
     ``depends_on`` lists indices of earlier events whose results this

@@ -483,6 +483,7 @@ def test_non_ascii_or_malformed_input_exits_2(capsys, argv):
     (("verify", "1582", "2000"),
      "usage: calamity verify [-h] [--json] [start] [end]\n"
      "calamity verify: error: argument start: year 1582 outside supported range 1583..9999\n"),
+    (("classify", "13/1", *CONWAY_TOKENS[1:]), "calamity: error: month 13 outside 1..12\n"),
 ])
 def test_usage_error_bytes(capsys, monkeypatch, argv, err, json_flag):
     # argparse wraps its usage line to the terminal width.

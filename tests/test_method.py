@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from calamity import method, verify
+from calamity import method, metrics, verify
+from calamity.conway import weekday_standard
 from calamity.core import CYCLE_YEARS, MIN_YEAR, Date, Direction, Weekday, iter_dates, oracle_weekday
 from calamity.method import AUTO, weekday_calamity, weekday_calamity_backward, weekday_calamity_traced
 from support import dates
@@ -89,6 +90,32 @@ def _cycle_recompute_mismatches(direction):
 def test_every_trace_of_a_cycle_recomposes():
     assert _cycle_recompute_mismatches(Direction.FORWARD) == 0
     assert _cycle_recompute_mismatches(Direction.BACKWARD) == 0
+
+
+def _cycle_standard_mismatches():
+    # The arithmetic trace, like the lookup one, reads the year only
+    # through year % 400.
+    cycle = iter_dates(MIN_YEAR, MIN_YEAR + CYCLE_YEARS - 1)
+    return sum(
+        metrics.trace_standard(date)[-1].result_magnitude != weekday_standard(date)
+        for date in cycle
+    )
+
+
+def test_every_standard_trace_of_a_cycle_ends_on_its_weekday():
+    assert _cycle_standard_mismatches() == 0
+
+
+def test_cycle_check_catches_a_late_leap_february_anchor(monkeypatch):
+    # Only the trace's anchor is one day late, and only for a leap February:
+    # 97 leap years of a cycle times 29 days.
+    real = metrics.doomsday_date
+    monkeypatch.setattr(
+        metrics,
+        "doomsday_date",
+        lambda month, leap=False: real(month, leap) + (leap and month == 2),
+    )
+    assert _cycle_standard_mismatches() == 97 * 29 == 2_813
 
 
 @pytest.mark.parametrize("faulted", [Direction.FORWARD, Direction.BACKWARD])

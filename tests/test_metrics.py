@@ -1,6 +1,5 @@
 """Operation accounting for the two methods."""
 
-import dataclasses
 import datetime
 
 import pytest
@@ -9,7 +8,8 @@ from hypothesis import given
 from calamity import metrics
 from calamity.conway import century_anchor, weekday_standard
 from calamity.core import MAX_YEAR, Date, iter_dates
-from calamity.method import weekday_calamity
+from calamity.doomyears import Doomyear, doomyear
+from calamity.method import weekday_calamity, weekday_calamity_traced
 from calamity.metrics import (
     OpEvent,
     OpKind,
@@ -208,7 +208,7 @@ def _shorter(events):
 
 def _relabelled(events):
     # Same length; only the last event's kind differs.
-    return events[:-1] + [dataclasses.replace(events[-1], kind=events[0].kind)]
+    return events[:-1] + [events[-1]._replace(kind=events[0].kind)]
 
 
 @pytest.mark.parametrize("change", [_shorter, _relabelled], ids=["shorter", "relabelled"])
@@ -234,13 +234,19 @@ def test_compare_full_range_matches_default_range():
     assert full.calamity == default.calamity
 
 
-def test_op_event_is_an_immutable_value():
-    # Whatever record type OpEvent becomes, equal events stay one value
+@pytest.mark.parametrize("make, field", [
+    (lambda: OpEvent(OpKind.SMALL_SUBTRACT, (9, 4), 5, depends_on=(0,)), "result_magnitude"),
+    (lambda: weekday_calamity_traced(Date(2025, 12, 25))[1], "final"),
+    (lambda: Doomyear(5, 0, 6), "distance"),
+    (lambda: doomyear(5).packed, "F"),
+], ids=["OpEvent", "StepTrace", "Doomyear", "PackedYearCodes"])
+def test_record_is_an_immutable_value(make, field):
+    # Whatever type these records become, equal records stay one value
     # and no field can be reassigned.
-    first = OpEvent(OpKind.SMALL_SUBTRACT, (9, 4), 5, depends_on=(0,))
-    second = OpEvent(OpKind.SMALL_SUBTRACT, (9, 4), 5, depends_on=(0,))
+    first, second = make(), make()
+    assert first is not second
     assert first == second
     assert hash(first) == hash(second)
     assert len({first, second}) == 1
     with pytest.raises(AttributeError):
-        first.result_magnitude = 6
+        setattr(first, field, 6)
