@@ -60,7 +60,6 @@ from .metrics import (
 )
 from .systems import (
     AnchorSystem,
-    MonthGrouping,
     NotUniformError,
     classify,
     month_groupings,

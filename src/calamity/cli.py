@@ -344,6 +344,9 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def run() -> None:
+    if sys.stderr is None:
+        # Started with fd 2 closed: drop diagnostics rather than print them on stdout.
+        sys.stderr = open(os.devnull, "w")
     try:
         code = main()
     except OSError as exc:

@@ -131,21 +131,9 @@ def zero_month_count(k: int) -> int:
     return sum(1 for residue in system(k).residues if residue == 0)
 
 
-@dataclass(frozen=True)
-class MonthGrouping:
-    """Months bucketed by the classic anchor-date residue d mod 7."""
-
-    groups: dict[int, frozenset[int]]
-
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        """Group sizes for residues 0..6."""
-        return tuple(len(self.groups.get(r, frozenset())) for r in range(7))
-
-
-def month_groupings() -> MonthGrouping:
-    """Partition of the 12 months by their classic anchor-date residue."""
+def month_groupings() -> dict[int, frozenset[int]]:
+    """Partition of the 12 months by their classic anchor-date residue d mod 7."""
     buckets: dict[int, set[int]] = {}
     for month, anchor_day in enumerate(DOOMSDAY_DATES, start=1):
         buckets.setdefault(anchor_day % 7, set()).add(month)
-    return MonthGrouping({r: frozenset(months) for r, months in sorted(buckets.items())})
+    return {r: frozenset(months) for r, months in sorted(buckets.items())}

@@ -491,6 +491,13 @@ def test_usage_error_bytes(capsys, monkeypatch, argv, err, json_flag):
     assert run_cli(capsys, *argv, *json_flag) == (2, "", err)
 
 
+def _child_env():
+    """The environment for a ``python -m calamity.cli`` child that imports this tree."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+
+
 @pytest.mark.parametrize("stdout, argv, code, err_tail", [
     # The read end closes before the child prints anything: no message.
     ("pipe", ["verify", "2000", "2000"], 1, []),
@@ -503,15 +510,12 @@ def test_usage_error_bytes(capsys, monkeypatch, argv, err, json_flag):
      ["calamity: error: cannot write output: [Errno 28] No space left on device"]),
 ], ids=["closed-pipe", "no-stdout", "no-stdout-usage-error", "full-device"])
 def test_unwritable_stdout_exits_without_traceback(stdout, argv, code, err_tail):
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     with open("/dev/full", "w") as full:
         proc = subprocess.Popen(
             [sys.executable, "-m", "calamity.cli", *argv],
             stdout={"pipe": subprocess.PIPE, "closed": None, "/dev/full": full}[stdout],
             stderr=subprocess.PIPE,
-            env=env,
+            env=_child_env(),
             # Started with fd 1 closed, the child has no sys.stdout at all.
             preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None,
         )
@@ -523,6 +527,26 @@ def test_unwritable_stdout_exits_without_traceback(stdout, argv, code, err_tail)
     assert "Traceback" not in err
     assert err.count("error:") == len(err_tail)
     assert err.splitlines()[-1:] == err_tail
+
+
+@pytest.mark.parametrize("argv", [
+    ["classify", "1/5", *CONWAY_TOKENS[1:], "--json"],
+    ["classify", "1/5", *CONWAY_TOKENS[1:]],
+    ["tables", "--system", "9"],
+    ["weekday", "nope"],
+    ["weekday", "2000-01-01"],
+], ids=["not-uniform-json", "not-uniform", "usage-error", "argparse-error", "answer"])
+def test_closed_stderr_drops_diagnostics_and_keeps_stdout(argv):
+    def child(**streams):
+        return subprocess.run(
+            [sys.executable, "-m", "calamity.cli", *argv],
+            stdout=subprocess.PIPE, env=_child_env(), timeout=60, **streams,
+        )
+
+    opened = child(stderr=subprocess.PIPE)
+    # Started with fd 2 closed, the child has no sys.stderr at all.
+    closed = child(preexec_fn=lambda: os.close(2))
+    assert (closed.returncode, closed.stdout) == (opened.returncode, opened.stdout)
 
 
 # Tokens for the argv fuzz below.

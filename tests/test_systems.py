@@ -148,7 +148,7 @@ def test_zero_month_counts():
 
 
 def test_month_groupings():
-    groups = month_groupings().groups
+    groups = month_groupings()
     assert groups[0] == frozenset({2, 3, 11})
     assert groups[1] == frozenset({8})
     assert groups[2] == frozenset({5})
@@ -156,7 +156,7 @@ def test_month_groupings():
     assert groups[4] == frozenset({4, 7})
     assert groups[5] == frozenset({9, 12})
     assert groups[6] == frozenset({6})
-    assert month_groupings().sizes == (3, 1, 1, 2, 2, 2, 1)
+    assert tuple(len(groups[r]) for r in range(7)) == (3, 1, 1, 2, 2, 2, 1)
     assert frozenset().union(*groups.values()) == frozenset(range(1, 13))
 
 
@@ -227,3 +227,27 @@ def test_anchor_system_check_sweeps_only_the_first_400_years(monkeypatch):
     verify.anchor_system_check(1600, 2100)
     verify.anchor_system_check(1990, 2010)
     assert swept == [(1600, 1999), (1990, 2010)]
+
+
+@pytest.mark.parametrize("start, end, bad", [(1583, 10000, 10000), (1582, 2000, 1582)])
+def test_anchor_system_check_rejects_an_unsupported_year_before_any_check(
+    monkeypatch, start, end, bad
+):
+    # The sweep stops one cycle in, so it would never reach a bad end year.
+    with pytest.raises(ValueError) as swept:
+        verify.differential_sweep(start, end)
+    monkeypatch.setattr(verify, "system", lambda k: pytest.fail("a check ran"))
+    with pytest.raises(ValueError) as checked:
+        verify.anchor_system_check(start, end)
+    message = f"year {bad} outside supported range 1583..9999"
+    assert str(checked.value) == str(swept.value) == message
+
+
+def test_anchor_system_check_catches_a_misgrouped_month(monkeypatch):
+    assert verify.anchor_system_check(2000, 2000).ok is True
+    grouping = month_groupings()
+    moved = {**grouping, 0: grouping[0] - {2}, 1: grouping[1] | {2}}
+    monkeypatch.setattr(verify, "month_groupings", lambda: moved)
+    result = verify.anchor_system_check(2000, 2000)
+    assert (result.cases, result.failure_count, result.ok) == (2751, 2, False)
+    assert result.examples == ("k=0: zero-month count 3", "k=6: zero-month count 1")
