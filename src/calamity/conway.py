@@ -8,7 +8,7 @@ anchor date, all mod 7.
 
 from __future__ import annotations
 
-from .core import WEEKDAYS, Date, Weekday, _check_year, is_leap
+from .core import WEEKDAYS, Date, Weekday, _check_year, _is_leap
 
 #: Century anchors for one 400-year cycle, indexed by century mod 4.
 #: Index 0 is the class of the 2000s (also 1600s, 2400s, ...).
@@ -21,10 +21,15 @@ DOOMSDAY_DATES = (3, 28, 7, 4, 9, 6, 11, 8, 5, 10, 7, 12)
 LEAP_OVERRIDES = {1: 4, 2: 29}
 
 
+def _century_anchor(year: int) -> int:
+    # Unchecked: for a year already in range, such as a Date's.
+    return CENTURY_ANCHORS[(year // 100) % 4]
+
+
 def century_anchor(year: int) -> int:
     """Weekday contribution of ``year``'s century."""
     _check_year(year)
-    return CENTURY_ANCHORS[(year // 100) % 4]
+    return _century_anchor(year)
 
 
 def year_offset_arithmetic(yy: int) -> int:
@@ -49,6 +54,6 @@ def weekday_standard(date: Date) -> Weekday:
     The month step is a plain subtraction that may go negative; the
     final floored mod folds it back into 0..6.
     """
-    delta = date.day - doomsday_date(date.month, is_leap(date.year))
-    total = century_anchor(date.year) + year_offset_arithmetic(date.year % 100) + delta
+    delta = date.day - doomsday_date(date.month, _is_leap(date.year))
+    total = _century_anchor(date.year) + year_offset_arithmetic(date.year % 100) + delta
     return WEEKDAYS[total % 7]

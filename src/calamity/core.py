@@ -55,10 +55,15 @@ def _check_year(year: int) -> None:
         raise ValueError(f"year {year} outside supported range {MIN_YEAR}..{MAX_YEAR}")
 
 
+def _is_leap(year: int) -> bool:
+    # Unchecked: for a year already in range, such as a Date's.
+    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+
+
 def is_leap(year: int) -> bool:
     """True when ``year`` contains a February 29."""
     _check_year(year)
-    return year % 4 == 0 and (year % 100 != 0 or year % 400 == 0)
+    return _is_leap(year)
 
 
 #: Years in one Gregorian cycle. Dates this far apart share their leap
@@ -119,7 +124,7 @@ def _day_index(year: int, month: int, day: int) -> int:
     """Days counted from the start of year 1 up to and including the date."""
     prior = year - 1
     leap_days = prior // 4 - prior // 100 + prior // 400
-    table = _CUM_LEAP if is_leap(year) else _CUM_COMMON
+    table = _CUM_LEAP if _is_leap(year) else _CUM_COMMON
     return prior * 365 + leap_days + table[month - 1] + day
 
 
@@ -138,12 +143,16 @@ def oracle_weekday(date: Date) -> Weekday:
     return WEEKDAYS[(_REFERENCE_WEEKDAY + offset) % 7]
 
 
-def iter_dates(start_year: int, end_year: int) -> Iterator[Date]:
-    """Every date from Jan 1 of ``start_year`` through Dec 31 of ``end_year``."""
+def _check_range(start_year: int, end_year: int) -> None:
     if start_year > end_year:
         raise ValueError(f"empty year range {start_year}..{end_year}")
     _check_year(start_year)
     _check_year(end_year)
+
+
+def iter_dates(start_year: int, end_year: int) -> Iterator[Date]:
+    """Every date from Jan 1 of ``start_year`` through Dec 31 of ``end_year``."""
+    _check_range(start_year, end_year)
     for year in range(start_year, end_year + 1):
         for month in range(1, 13):
             for day in range(1, month_length(year, month) + 1):

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Union
 
-from .conway import century_anchor
-from .core import WEEKDAYS, Date, Direction, Weekday, is_leap
+from .conway import _century_anchor
+from .core import WEEKDAYS, Date, Direction, Weekday, _is_leap
 from .doomyears import YearStep, year_step
 from .vector import VectorCode, gaps, square_knot_backward, square_knot_forward, vector_code
 
@@ -53,9 +53,9 @@ class StepTrace(NamedTuple):
 
 def weekday_calamity(date: Date) -> Weekday:
     """Weekday as century anchor + year digit + forward month offset, mod 7."""
-    code = vector_code(date.month, is_leap(date.year))
+    code = vector_code(date.month, _is_leap(date.year))
     total = (
-        century_anchor(date.year)
+        _century_anchor(date.year)
         + year_step(date.year % 100).digit
         + square_knot_forward(date.day, code)
     )
@@ -64,9 +64,9 @@ def weekday_calamity(date: Date) -> Weekday:
 
 def weekday_calamity_backward(date: Date) -> Weekday:
     """Weekday as century anchor + year digit - backward month offset, mod 7."""
-    code = vector_code(date.month, is_leap(date.year))
+    code = vector_code(date.month, _is_leap(date.year))
     total = (
-        century_anchor(date.year)
+        _century_anchor(date.year)
         + year_step(date.year % 100).digit
         - square_knot_backward(date.day, code)
     )
@@ -86,9 +86,9 @@ def weekday_calamity_traced(
     trace's ``recompute()`` cross-checks the recorded steps against it.
     The resulting weekday never depends on the choice.
     """
-    anchor = century_anchor(date.year)
+    anchor = _century_anchor(date.year)
     year = year_step(date.year % 100)
-    code = vector_code(date.month, is_leap(date.year))
+    code = vector_code(date.month, _is_leap(date.year))
     pair = gaps(date.day)
     if month_direction == AUTO:
         chosen = Direction.FORWARD if pair.forward <= pair.backward else Direction.BACKWARD

@@ -19,8 +19,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .conway import century_anchor, doomsday_date
-from .core import CYCLE_YEARS, Date, Direction, is_leap, iter_dates
+from .conway import _century_anchor, doomsday_date
+from .core import CYCLE_YEARS, Date, Direction, _is_leap, is_leap, iter_dates
 from .method import weekday_calamity_traced
 
 
@@ -65,9 +65,9 @@ def trace_standard(date: Date) -> list[OpEvent]:
     quotient = yy // 4
     added = yy + quotient
     omega = added % 7
-    anchor_day = doomsday_date(date.month, is_leap(date.year))
+    anchor_day = doomsday_date(date.month, _is_leap(date.year))
     delta = date.day - anchor_day
-    century = century_anchor(date.year)
+    century = _century_anchor(date.year)
     corrected = (century + omega + delta) % 7
     return [
         OpEvent(OpKind.INT_DIVISION, (yy, 4), quotient),
@@ -166,7 +166,7 @@ def compare(start_year: int, end_year: int) -> ComparisonReport:
     a max, so any partitioning of the range gives the same report.
 
     Only the first 400 years of the range are traced. Both traces read
-    the year through ``year % 100``, ``century_anchor`` and ``is_leap``
+    the year through ``year % 100``, the century anchor and the leap rule
     alone, and all three depend only on ``year % 400``. So every date
     past the first 400 years traces exactly like its twin 400, 800, ...
     years earlier. The maxima and the signature check therefore come out

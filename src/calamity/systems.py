@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .conway import CENTURY_ANCHORS, DOOMSDAY_DATES, doomsday_date
-from .core import COMMON_MONTH_LENGTHS, WEEKDAYS, Date, Weekday, _check_year, is_leap
+from .core import COMMON_MONTH_LENGTHS, WEEKDAYS, Date, Weekday, _check_year, _is_leap
 from .doomyears import year_offset_doomyear
 from .vector import VectorCode, square_knot_forward
 
@@ -64,7 +64,7 @@ class AnchorSystem:
     def weekday(self, date: Date) -> Weekday:
         """End-to-end weekday using this system's tables only."""
         year = date.year
-        code = _MONTH_CODES[self.k][is_leap(year)][date.month - 1]
+        code = _MONTH_CODES[self.k][_is_leap(year)][date.month - 1]
         total = _CENTURY_ANCHORS[self.k][(year // 100) % 4] + year_offset_doomyear(year % 100)
         return WEEKDAYS[(total + square_knot_forward(date.day, code)) % 7]
 

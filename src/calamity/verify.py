@@ -9,12 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .conway import (
-    doomsday_date,
-    weekday_standard,
-    year_offset_arithmetic,
-)
-from .core import CYCLE_YEARS, _check_year, iter_dates, month_length, oracle_weekday
+from .conway import doomsday_date, weekday_standard, year_offset_arithmetic
+from .core import CYCLE_YEARS, _check_range, iter_dates, month_length, oracle_weekday
 from .doomyears import MAX_DISTANCE, anchor_years, doomyear, nearest_anchor, year_offset_doomyear
 from .method import weekday_calamity, weekday_calamity_backward
 from .systems import classify, month_groupings, rotate_code, system, zero_month_count
@@ -70,26 +66,61 @@ class _Recorder:
         """Count one case; a kept counterexample is ``template.format(*values)``."""
         self.cases += 1
         if not ok:
-            self.failures += 1
-            if len(self.examples) < MAX_EXAMPLES:
-                self.examples.append(template.format(*values))
+            self.fail(template, *values)
+
+    def fail(self, template: str, *values: object) -> None:
+        """Count one failure of a case counted elsewhere, keeping its text while there is room."""
+        self.failures += 1
+        if len(self.examples) < MAX_EXAMPLES:
+            self.examples.append(template.format(*values))
 
     def result(self, name: str) -> CheckResult:
         return CheckResult(name, self.cases, self.failures, tuple(self.examples))
 
 
+def _per_date_checks(
+    start_year: int, end_year: int, diff: _Recorder | None, anchored: _Recorder | None
+) -> None:
+    """Walk the range once for ``diff`` (all four routes) and ``anchored`` (the seven systems).
+
+    ``None`` skips a side. The systems run over the first 400 years, which
+    exercise every century class, year, and month shape. Cases are counted
+    per span; a counterexample is formatted only on failure.
+    """
+    _check_range(start_year, end_year)
+    cycle_end = min(end_year, start_year + CYCLE_YEARS - 1)
+    spans = [(start_year, cycle_end, anchored)]
+    if diff is not None and cycle_end < end_year:
+        spans.append((cycle_end + 1, end_year, None))
+    if anchored is not None:
+        _anchor_system_structure(anchored)
+    systems = [system(k) for k in range(7)]
+    for first, last, systems_rec in spans:
+        dates = 0
+        for date in iter_dates(first, last):
+            dates += 1
+            o = oracle_weekday(date)
+            if diff is not None:
+                s = weekday_standard(date)
+                f = weekday_calamity(date)
+                b = weekday_calamity_backward(date)
+                if not o == s == f == b:
+                    template = "{}: oracle={:d} standard={:d} forward={:d} backward={:d}"
+                    diff.fail(template, date, o, s, f, b)
+            if systems_rec is not None:
+                for sys_k in systems:
+                    if sys_k.weekday(date) != o:
+                        systems_rec.fail("k={} {}: system weekday != oracle", sys_k.k, date)
+        if diff is not None:
+            diff.cases += dates
+        if systems_rec is not None:
+            systems_rec.cases += len(systems) * dates
+
+
 def differential_sweep(start_year: int, end_year: int) -> CheckResult:
     """Oracle, arithmetic, and both table directions must agree on every date."""
     rec = _Recorder()
-    for date in iter_dates(start_year, end_year):
-        o = oracle_weekday(date)
-        s = weekday_standard(date)
-        f = weekday_calamity(date)
-        b = weekday_calamity_backward(date)
-        rec.case(
-            o == s == f == b,
-            "{}: oracle={:d} standard={:d} forward={:d} backward={:d}", date, o, s, f, b,
-        )
+    _per_date_checks(start_year, end_year, rec, None)
     return rec.result("differential")
 
 
@@ -160,20 +191,8 @@ def year_offset_check() -> CheckResult:
     return rec.result("year-offset")
 
 
-def _representative_dates(k: int) -> list[tuple[int, int]]:
-    residues = system(k).residues
-    return [(month, 7 if residues[month - 1] == 0 else residues[month - 1]) for month in range(1, 13)]
-
-
-def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
-    """Structure of all seven systems, plus end-to-end agreement with the oracle.
-
-    The end-to-end sweep is capped at the first 400 years of the range,
-    which already exercises every century class, year, and month shape.
-    """
-    for year in (start_year, end_year):  # the sweep below stops after one cycle
-        _check_year(year)
-    rec = _Recorder()
+def _anchor_system_structure(rec: _Recorder) -> None:
+    """Codes, rotation, classification and zero months of all seven systems."""
     vocabulary = code_vocabulary()
     grouping = month_groupings()
     for k in range(7):
@@ -189,7 +208,8 @@ def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
                 rotate_code(code) == rotated.codes[month - 1],
                 "k={} month {}: rotation mismatch", k, month,
             )
-        rec.case(classify(_representative_dates(k)) == k, "k={}: classify round trip", k)
+        days = [(month, 7 if r == 0 else r) for month, r in enumerate(sys_k.residues, start=1)]
+        rec.case(classify(days) == k, "k={}: classify round trip", k)
         zero_months = zero_month_count(k)
         expected_zero = len(grouping.get((7 - k) % 7, frozenset()))
         rec.case(zero_months == expected_zero, "k={}: zero-month count {}", k, zero_months)
@@ -198,32 +218,18 @@ def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
             "k={}: zero-month optimality violated ({})", k, zero_months,
         )
 
-    sweep_end = min(end_year, start_year + CYCLE_YEARS - 1)
-    systems = [system(k) for k in range(7)]
-    for date in iter_dates(start_year, sweep_end):
-        expected = oracle_weekday(date)
-        for sys_k in systems:
-            rec.case(
-                sys_k.weekday(date) == expected,
-                "k={} {}: system weekday != oracle", sys_k.k, date,
-            )
+
+def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
+    """Structure of all seven systems, plus agreement with the oracle over the first 400 years."""
+    rec = _Recorder()
+    _per_date_checks(start_year, end_year, None, rec)
     return rec.result("anchor-systems")
 
 
 def verify_range(start_year: int, end_year: int) -> VerificationSummary:
-    """Run every check over the year range."""
-    diff = differential_sweep(start_year, end_year)
-    checks = (
-        diff,
-        month_code_check(),
-        square_knot_check(),
-        year_table_check(),
-        year_offset_check(),
-        anchor_system_check(start_year, end_year),
-    )
-    return VerificationSummary(
-        start_year=start_year,
-        end_year=end_year,
-        dates_tested=diff.cases,
-        checks=checks,
-    )
+    """Run every check over the year range; one walk feeds both per-date checks."""
+    diff, anchored = _Recorder(), _Recorder()
+    _per_date_checks(start_year, end_year, diff, anchored)
+    tables = (month_code_check(), square_knot_check(), year_table_check(), year_offset_check())
+    checks = (diff.result("differential"), *tables, anchored.result("anchor-systems"))
+    return VerificationSummary(start_year, end_year, diff.cases, checks)

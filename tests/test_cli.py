@@ -306,23 +306,19 @@ def test_verify_system_failure_text(capsys, system_off_on_13th):
     assert run_cli(capsys, "verify", "2000", "2000") == (1, SYSTEM_FAULT_TEXT, "")
 
 
-def test_verify_system_failure_json(capsys, system_off_on_13th):
+def _verify_2000_json(differential, anchor_systems):
+    """``verify 2000 2000 --json`` with the (failures, examples) of the two per-date checks."""
     checks = [
-        {"name": name, "cases": cases, "failures": 0, "examples": []}
-        for name, cases in (
-            ("differential", 366),
-            ("month-codes", 24),
-            ("square-knot", 731),
-            ("year-table", 16),
-            ("year-offset", 176),
+        {"name": name, "cases": cases, "failures": failures, "examples": examples}
+        for name, cases, (failures, examples) in (
+            ("differential", 366, differential),
+            ("month-codes", 24, (0, [])),
+            ("square-knot", 731, (0, [])),
+            ("year-table", 16, (0, [])),
+            ("year-offset", 176, (0, [])),
+            ("anchor-systems", 2751, anchor_systems),
         )
     ]
-    checks.append({
-        "name": "anchor-systems",
-        "cases": 2751,
-        "failures": 84,
-        "examples": SYSTEM_FAULT_EXAMPLES,
-    })
     payload = {
         "checks": checks,
         "dates_tested": 366,
@@ -330,7 +326,35 @@ def test_verify_system_failure_json(capsys, system_off_on_13th):
         "ok": False,
         "start_year": 2000,
     }
-    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_verify_system_failure_json(capsys, system_off_on_13th):
+    expected = _verify_2000_json((0, []), (84, SYSTEM_FAULT_EXAMPLES))
+    assert run_cli(capsys, "verify", "2000", "2000", "--json") == (1, expected, "")
+
+
+BOTH_FAULTS_TEXT = "\n".join([
+    "verify 2000..2000",
+    "  differential         366 cases  12 FAILED",
+    *(f"    {example}" for example in FAULT_EXAMPLES),
+    "  month-codes           24 cases  ok",
+    "  square-knot          731 cases  ok",
+    "  year-table            16 cases  ok",
+    "  year-offset          176 cases  ok",
+    "  anchor-systems      2751 cases  84 FAILED",
+    *(f"    {example}" for example in SYSTEM_FAULT_EXAMPLES),
+    "dates tested: 366",
+    "failures: 96",
+]) + "\n"
+
+
+def test_verify_reports_both_per_date_checks_failing_on_the_same_dates(
+    capsys, forward_off_on_13th, system_off_on_13th
+):
+    # One walk feeds both checks; each keeps its own cases and example order.
+    assert run_cli(capsys, "verify", "2000", "2000") == (1, BOTH_FAULTS_TEXT, "")
+    expected = _verify_2000_json((12, FAULT_EXAMPLES), (84, SYSTEM_FAULT_EXAMPLES))
     assert run_cli(capsys, "verify", "2000", "2000", "--json") == (1, expected, "")
 
 

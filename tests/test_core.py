@@ -62,6 +62,8 @@ def test_date_validation():
         Date(1582, 12, 31)
     with pytest.raises(ValueError):
         Date(2023, 13, 1)
+    with pytest.raises(ValueError, match="day 0 outside 1..31"):
+        Date(2000, 1, 0)
 
 
 def test_date_parsing_and_rendering():

@@ -139,6 +139,20 @@ def test_classify_input_validation():
     duplicated[1] = (3, 3)
     with pytest.raises(ValueError):
         classify(duplicated)
+    for pair, message in (((0, 3), "month 0 outside 1..12"), ((1, 0), "day 0 outside 1..31")):
+        with pytest.raises(ValueError, match=message):
+            classify([pair] + CONWAY_DATES[1:])
+
+
+def test_classify_majority_tie_goes_to_the_smallest_shift():
+    # Six months moved two days against six classic ones. The moved
+    # months come first, so neither the first shift seen nor the largest
+    # is the smallest.
+    moved = [(m, DOOMSDAY_DATES[m - 1] + 2) for m in range(7, 13)]
+    with pytest.raises(NotUniformError) as exc_info:
+        classify(moved + CONWAY_DATES[:6])
+    assert exc_info.value.majority == 0
+    assert exc_info.value.offending == (7, 8, 9, 10, 11, 12)
 
 
 def test_zero_month_counts():
@@ -192,7 +206,8 @@ def test_code_table_follows_the_residue_rule(k):
 
 @pytest.mark.parametrize("k", range(7))
 def test_century_table_follows_the_shift_rule(k):
-    for year in (1600, 1700, 1800, 1900):
+    # 1980 is inside a century: it must read that century's class.
+    for year in (1600, 1700, 1800, 1900, 1980):
         assert system(k).century_anchor(year) == (conway.century_anchor(year) + k) % 7
     for year in (1582, 10000):
         with pytest.raises(ValueError, match="outside supported range"):

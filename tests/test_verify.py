@@ -1,5 +1,6 @@
 """The verification sweeps over the whole supported range."""
 
+from calamity import conway, method, systems, verify
 from calamity.core import MAX_YEAR, MIN_YEAR
 from calamity.verify import MAX_EXAMPLES, _Recorder, differential_sweep
 
@@ -28,3 +29,43 @@ def test_recorder_formats_only_the_examples_it_keeps():
     assert (result.cases, result.failure_count) == (MAX_EXAMPLES + 4, MAX_EXAMPLES + 3)
     assert result.examples == ("case probe:d",) * MAX_EXAMPLES
     assert formatted == ["d"] * MAX_EXAMPLES
+
+
+def test_verify_range_walks_each_date_once(monkeypatch):
+    # One walk feeds the differential and the seven systems: the first
+    # cycle is not walked a second time, and its oracle runs once per date.
+    spans, oracle_calls = [], 0
+    real_iter_dates, real_oracle = verify.iter_dates, verify.oracle_weekday
+
+    def recording_iter_dates(start_year, end_year):
+        spans.append((start_year, end_year))
+        return real_iter_dates(start_year, end_year)
+
+    def counting_oracle(date):
+        nonlocal oracle_calls
+        oracle_calls += 1
+        return real_oracle(date)
+
+    monkeypatch.setattr(verify, "iter_dates", recording_iter_dates)
+    monkeypatch.setattr(verify, "oracle_weekday", counting_oracle)
+    summary = verify.verify_range(1600, 2100)
+    assert summary.ok
+    assert oracle_calls == summary.dates_tested == 182_987
+    assert spans[0][0] == 1600 and spans[-1][1] == 2100
+    assert all(end + 1 == start for (_, end), (start, _) in zip(spans, spans[1:]))
+
+
+def test_verify_catches_a_leap_rule_without_the_century_exception(monkeypatch):
+    # Only the leap rule the routes read is wrong; the oracle's stays right.
+    # January and February of 1700, 1800, 1900, 2100, 2200, 2300 and 2500
+    # then run a day late: 7 * 59 dates, and the systems see the first three.
+    for module in (conway, method, systems):
+        monkeypatch.setattr(module, "_is_leap", lambda year: year % 4 == 0)
+    summary = verify.verify_range(1583, 2599)
+    failed = {check.name: check.failure_count for check in summary.checks if not check.ok}
+    assert failed == {"differential": 413, "anchor-systems": 1_239}
+    examples = {check.name: check.examples[0] for check in summary.checks if not check.ok}
+    assert examples == {
+        "differential": "1700-01-01: oracle=5 standard=4 forward=4 backward=4",
+        "anchor-systems": "k=0 1700-01-01: system weekday != oracle",
+    }
