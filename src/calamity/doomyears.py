@@ -83,12 +83,12 @@ class YearNavigation(NamedTuple):
 def nearest_anchor(yy: int) -> YearNavigation:
     """Nearest anchor year to ``yy``.
 
-    Ties, distance 14 both ways at 14, 42 and 70, resolve forward from
-    the lower anchor; this is harmless because f(14) = b(14).
+    Ties, distance 14 both ways at 14, 42 and 70, go forward from the lower
+    anchor, which ``min`` meets first; this is harmless because f(14) = b(14).
     """
     if not 0 <= yy <= 99:
         raise ValueError(f"two-digit year {yy} outside 0..99")
-    anchor = min(ANCHOR_YEARS, key=lambda a: (abs(yy - a), 0 if yy >= a else 1))
+    anchor = min(ANCHOR_YEARS, key=lambda a: abs(yy - a))
     if yy >= anchor:
         return YearNavigation(anchor, yy - anchor, Direction.FORWARD)
     return YearNavigation(anchor, anchor - yy, Direction.BACKWARD)

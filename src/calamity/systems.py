@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .conway import CENTURY_ANCHORS, DOOMSDAY_DATES, doomsday_date
 from .core import COMMON_MONTH_LENGTHS, WEEKDAYS, Date, Weekday, _check_year, _is_leap
-from .doomyears import year_offset_doomyear
+from .doomyears import year_step
 from .vector import VectorCode, square_knot_forward
 
 
@@ -65,7 +65,7 @@ class AnchorSystem:
         """End-to-end weekday using this system's tables only."""
         year = date.year
         code = _MONTH_CODES[self.k][_is_leap(year)][date.month - 1]
-        total = _CENTURY_ANCHORS[self.k][(year // 100) % 4] + year_offset_doomyear(year % 100)
+        total = _CENTURY_ANCHORS[self.k][(year // 100) % 4] + year_step(year % 100).digit
         return WEEKDAYS[(total + square_knot_forward(date.day, code)) % 7]
 
 
@@ -112,6 +112,8 @@ def classify(dates: Sequence[tuple[int, int]]) -> int:
         raise ValueError(f"need 12 (month, day) pairs, got {len(dates)}")
     offsets: dict[int, int] = {}
     for month, day in dates:
+        if type(month) is not int or type(day) is not int:
+            raise TypeError(f"month and day must be int, got {month!r}, {day!r}")
         if not 1 <= month <= 12:
             raise ValueError(f"month {month} outside 1..12")
         if month in offsets:

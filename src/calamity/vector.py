@@ -23,7 +23,7 @@ UPPER_ANCHORS = (7, 14, 21, 28, 35)
 def _check_split(kind: str, first: int, second: int) -> None:
     """Both digits 0, or both in 1..6 and summing to 7."""
     zero = first == 0 and second == 0
-    split = 0 < first <= 6 and 0 < second <= 6 and first + second == 7
+    split = 0 < first and 0 < second and first + second == 7
     if not (zero or split):
         raise ValueError(f"invalid {kind} ({first}, {second})")
 

@@ -44,12 +44,8 @@ class VerificationSummary:
     checks: tuple[CheckResult, ...]
 
     @property
-    def failure_count(self) -> int:
-        return sum(check.failure_count for check in self.checks)
-
-    @property
     def ok(self) -> bool:
-        return self.failure_count == 0
+        return all(check.ok for check in self.checks)
 
 
 class _Recorder:

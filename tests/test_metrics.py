@@ -87,6 +87,38 @@ def test_year_navigation_distance_is_recorded_but_not_intermediate():
     assert max_intermediate(events) <= 6
 
 
+def test_empty_and_table_only_event_lists_measure_zero():
+    assert serial_depth([]) == 0
+    assert max_intermediate([]) == 0
+    position = OpEvent(OpKind.SMALL_SUBTRACT, (28, 25), 3, intermediate=False)
+    assert max_intermediate([position, position]) == 0
+
+
+def test_traces_record_their_operands():
+    # The arithmetic month step is a signed subtraction: day 1 against
+    # December's anchor day 12 gives -11, and the sign correction
+    # carries it into the final reduction.
+    events = trace_standard(Date(2025, 12, 1))
+    standard = [(e.kind, e.operands, e.result_magnitude) for e in events]
+    assert standard == [
+        (OpKind.INT_DIVISION, (25, 4), 6),
+        (OpKind.MULTIDIGIT_ADD, (25, 6), 31),
+        (OpKind.MOD_REDUCE_LARGE, (31, 7), 3),
+        (OpKind.SMALL_SUBTRACT, (1, 12), 11),
+        (OpKind.SIGN_CORRECT, (2, 3, -11), 1),
+    ]
+    # The lookup method subtracts only inside one table span or one week:
+    # 28 - 25 and 25 - 21.
+    events = trace_calamity(Date(2025, 12, 25))
+    calamity = [(e.kind, e.operands, e.result_magnitude) for e in events]
+    assert calamity == [
+        (OpKind.SMALL_SUBTRACT, (28, 25), 3),
+        (OpKind.TABLE_RECALL, (3,), 3),
+        (OpKind.GAP_MEASURE, (25, 21), 4),
+        (OpKind.DIGIT_SELECT_ADD, (4, 2), 6),
+    ]
+
+
 @given(dates())
 def test_calamity_pairs_are_independent(date):
     events = trace_calamity(date)

@@ -142,6 +142,13 @@ def test_classify_input_validation():
     for pair, message in (((0, 3), "month 0 outside 1..12"), ((1, 0), "day 0 outside 1..31")):
         with pytest.raises(ValueError, match=message):
             classify([pair] + CONWAY_DATES[1:])
+    # Exactly int, as a Date's fields: a float or bool would classify or
+    # index a table by accident.
+    for pair in ((1.0, 3), (1, 3.0), (True, 3), (1, 3.5)):
+        with pytest.raises(TypeError, match="month and day must be int"):
+            classify([pair] + CONWAY_DATES[1:])
+    with pytest.raises(TypeError):
+        classify([(m, float(d)) for m, d in enumerate(DOOMSDAY_DATES, 1)])
 
 
 def test_classify_majority_tie_goes_to_the_smallest_shift():
@@ -266,3 +273,16 @@ def test_anchor_system_check_catches_a_misgrouped_month(monkeypatch):
     result = verify.anchor_system_check(2000, 2000)
     assert (result.cases, result.failure_count, result.ok) == (2751, 2, False)
     assert result.examples == ("k=0: zero-month count 3", "k=6: zero-month count 1")
+
+
+def test_anchor_system_check_catches_a_non_optimal_system(monkeypatch):
+    # A shifted system with three zero months fails both the count and
+    # the bound that only the classic set may reach three.
+    counts = {k: zero_month_count(k) for k in range(7)}
+    monkeypatch.setattr(verify, "zero_month_count", lambda k: 3 if k == 1 else counts[k])
+    result = verify.anchor_system_check(2000, 2000)
+    assert (result.cases, result.failure_count) == (2751, 2)
+    assert result.examples == (
+        "k=1: zero-month count 3",
+        "k=1: zero-month optimality violated (3)",
+    )

@@ -58,6 +58,8 @@ def test_gap_pair_rejects_bad_combination():
         GapPair(2, 4)
     with pytest.raises(ValueError):
         GapPair(0, 7)
+    with pytest.raises(ValueError):
+        GapPair(7, 0)
 
 
 def test_vector_code_digit_invariant():
@@ -65,6 +67,8 @@ def test_vector_code_digit_invariant():
         VectorCode(1, 5)
     with pytest.raises(ValueError):
         VectorCode(0, 7)
+    with pytest.raises(ValueError):
+        VectorCode(7, 0)
     assert VectorCode(0, 0).value == 0
     assert VectorCode(2, 5).value == 25
 
