@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import NamedTuple, Union
 
 from .conway import _century_anchor
-from .core import WEEKDAYS, Date, Direction, Weekday, _is_leap
+from .core import _BACKWARD, _FORWARD, WEEKDAYS, Date, Direction, Weekday, _is_leap
 from .doomyears import YearStep, year_step
 from .vector import VectorCode, gaps, square_knot_backward, square_knot_forward, vector_code
 
@@ -41,7 +41,7 @@ class StepTrace(NamedTuple):
     def month_offset(self) -> int:
         """Signed month contribution: positive forward, negative backward."""
         reduced = (self.target_gap.gap + self.target_gap.digit) % 7
-        if self.target_gap.direction is Direction.FORWARD:
+        if self.target_gap.direction is _FORWARD:
             return reduced
         return -reduced
 
@@ -90,23 +90,17 @@ def weekday_calamity_traced(
     year = year_step(date.year % 100)
     code = vector_code(date.month, _is_leap(date.year))
     pair = gaps(date.day)
-    if month_direction == AUTO:
-        chosen = Direction.FORWARD if pair.forward <= pair.backward else Direction.BACKWARD
+    if type(month_direction) is Direction:
+        chosen = month_direction
+    elif month_direction == AUTO:
+        chosen = _FORWARD if pair.forward <= pair.backward else _BACKWARD
     else:
         chosen = Direction(month_direction)
 
-    if chosen is Direction.FORWARD:
-        step = MonthStep(Direction.FORWARD, pair.forward, code.tens)
+    if chosen is _FORWARD:
+        step = MonthStep(_FORWARD, pair.forward, code.tens)
         final = weekday_calamity(date)
     else:
-        step = MonthStep(Direction.BACKWARD, pair.backward, code.units)
+        step = MonthStep(_BACKWARD, pair.backward, code.units)
         final = weekday_calamity_backward(date)
-
-    trace = StepTrace(
-        century_anchor=anchor,
-        year_navigation=year,
-        month_code=code,
-        target_gap=step,
-        final=final,
-    )
-    return final, trace
+    return final, StepTrace(anchor, year, code, step, final)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .conway import _century_anchor, doomsday_date
-from .core import CYCLE_YEARS, Date, Direction, _is_leap, is_leap, iter_dates
+from .core import _FORWARD, CYCLE_YEARS, Date, _is_leap, is_leap, iter_dates
 from .method import weekday_calamity_traced
 
 
@@ -55,6 +55,14 @@ class OpEvent(NamedTuple):
     intermediate: bool = True
 
 
+# compare traces nine events on each of 146,097 dates, so the traces read
+# each kind from a module global, not from the enum, and build each event
+# as the tuple of its five fields, without a call through OpEvent.__new__.
+(_INT_DIVISION, _MULTIDIGIT_ADD, _MOD_REDUCE_LARGE, _SMALL_SUBTRACT,
+ _TABLE_RECALL, _GAP_MEASURE, _DIGIT_SELECT_ADD, _SIGN_CORRECT) = OpKind
+_new = tuple.__new__
+
+
 def trace_standard(date: Date) -> list[OpEvent]:
     """The five serial events of the arithmetic method.
 
@@ -70,11 +78,11 @@ def trace_standard(date: Date) -> list[OpEvent]:
     century = _century_anchor(date.year)
     corrected = (century + omega + delta) % 7
     return [
-        OpEvent(OpKind.INT_DIVISION, (yy, 4), quotient),
-        OpEvent(OpKind.MULTIDIGIT_ADD, (yy, quotient), added, depends_on=(0,)),
-        OpEvent(OpKind.MOD_REDUCE_LARGE, (added, 7), omega, depends_on=(1,)),
-        OpEvent(OpKind.SMALL_SUBTRACT, (date.day, anchor_day), abs(delta), depends_on=(2,)),
-        OpEvent(OpKind.SIGN_CORRECT, (century, omega, delta), corrected, depends_on=(3,)),
+        _new(OpEvent, (_INT_DIVISION, (yy, 4), quotient, (), True)),
+        _new(OpEvent, (_MULTIDIGIT_ADD, (yy, quotient), added, (0,), True)),
+        _new(OpEvent, (_MOD_REDUCE_LARGE, (added, 7), omega, (1,), True)),
+        _new(OpEvent, (_SMALL_SUBTRACT, (date.day, anchor_day), abs(delta), (2,), True)),
+        _new(OpEvent, (_SIGN_CORRECT, (century, omega, delta), corrected, (3,), True)),
     ]
 
 
@@ -86,19 +94,19 @@ def trace_calamity(date: Date) -> list[OpEvent]:
     anchor; its result is a table position and is therefore not an
     intermediate value.
     """
-    trace = weekday_calamity_traced(date, Direction.FORWARD)[1]
+    trace = weekday_calamity_traced(date, _FORWARD)[1]
     year = trace.year_navigation
     step = trace.target_gap
     yy = date.year % 100
-    if year.direction is Direction.FORWARD:
+    if year.direction is _FORWARD:
         nav_operands = (yy, year.anchor)
     else:
         nav_operands = (year.anchor, yy)
     return [
-        OpEvent(OpKind.SMALL_SUBTRACT, nav_operands, year.distance, intermediate=False),
-        OpEvent(OpKind.TABLE_RECALL, (year.distance,), year.digit, depends_on=(0,)),
-        OpEvent(OpKind.GAP_MEASURE, (date.day, date.day - step.gap), step.gap),
-        OpEvent(OpKind.DIGIT_SELECT_ADD, (step.gap, step.digit), trace.month_offset, depends_on=(2,)),
+        _new(OpEvent, (_SMALL_SUBTRACT, nav_operands, year.distance, (), False)),
+        _new(OpEvent, (_TABLE_RECALL, (year.distance,), year.digit, (0,), True)),
+        _new(OpEvent, (_GAP_MEASURE, (date.day, date.day - step.gap), step.gap, (), True)),
+        _new(OpEvent, (_DIGIT_SELECT_ADD, (step.gap, step.digit), trace.month_offset, (2,), True)),
     ]
 
 
@@ -113,7 +121,9 @@ def serial_depth(events: Sequence[OpEvent]) -> int:
 
 def max_intermediate(events: Iterable[OpEvent]) -> int:
     """Largest intermediate result magnitude; table positions excluded."""
-    return max((e.result_magnitude for e in events if e.intermediate), default=0)
+    # A list, not a generator, and ``or [0]``, not ``default=0``: compare
+    # calls this twice per traced date, and each costs more than the scan.
+    return max([e.result_magnitude for e in events if e.intermediate] or [0])
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,21 @@ def test_trace_year_navigation():
     assert trace.century_anchor == 2
 
 
+@given(dates())
+def test_direction_by_name_traces_as_by_member(date):
+    # The CLI passes a name; metrics and perfbench pass the member.
+    for member in Direction:
+        by_name = weekday_calamity_traced(date, member.value)
+        assert by_name == weekday_calamity_traced(date, member)
+        assert by_name[1].target_gap.direction is member
+
+
+def test_unknown_direction_is_rejected():
+    with pytest.raises(ValueError) as excinfo:
+        weekday_calamity_traced(Date(2025, 12, 25), "sideways")
+    assert str(excinfo.value) == "'sideways' is not a valid Direction"
+
+
 def test_backward_route_runs_the_verified_square_knot(monkeypatch):
     # The square-knot check tests square_knot_backward; an off-by-one
     # copy must reach the backward route and the differential sweep.

@@ -1,13 +1,14 @@
 """Operation accounting for the two methods."""
 
 import datetime
+import hashlib
 
 import pytest
 from hypothesis import given
 
 from calamity import metrics
 from calamity.conway import century_anchor, weekday_standard
-from calamity.core import MAX_YEAR, Date, iter_dates
+from calamity.core import CYCLE_YEARS, MAX_YEAR, MIN_YEAR, Date, iter_dates
 from calamity.doomyears import Doomyear, doomyear
 from calamity.method import weekday_calamity, weekday_calamity_traced
 from calamity.metrics import (
@@ -189,6 +190,32 @@ def _days(start_year, end_year):
     """Dates in a year range, counted by the standard library."""
     first, last = datetime.date(start_year, 1, 1), datetime.date(end_year, 12, 31)
     return (last - first).days + 1
+
+
+#: sha256 over every field of every event both traces record for the
+#: first cycle of the supported range, one ``repr`` per date.
+CYCLE_TRACES_SHA256 = "f3b88f8d47d15efaac5c550c3f0bfd8a6546de5b39f60b0210b72519607da3d5"
+
+
+def _cycle_traces():
+    """Digest of a cycle's traces, and how many events are not an OpEvent."""
+    digest = hashlib.sha256()
+    strays = 0
+    for date in iter_dates(MIN_YEAR, MIN_YEAR + CYCLE_YEARS - 1):
+        events = trace_standard(date) + trace_calamity(date)
+        strays += sum(type(e) is not OpEvent for e in events)
+        fields = [
+            (e.kind.value, e.operands, e.result_magnitude, e.depends_on, e.intermediate)
+            for e in events
+        ]
+        digest.update(repr(fields).encode())
+    return digest.hexdigest(), strays
+
+
+def test_a_cycle_of_traces_is_pinned():
+    # Catches a trace that swaps two fields, drops a default or returns a
+    # plain tuple where an OpEvent belongs.
+    assert _cycle_traces() == (CYCLE_TRACES_SHA256, 0)
 
 
 @given(dates(max_year=MAX_YEAR - 400))
