@@ -7,6 +7,9 @@ independent computations of every weekday in the range must agree.
 
 from __future__ import annotations
 
+import _thread
+import contextlib
+import os
 from dataclasses import dataclass
 
 from .conway import doomsday_date, weekday_standard, year_offset_arithmetic
@@ -70,8 +73,61 @@ class _Recorder:
         if len(self.examples) < MAX_EXAMPLES:
             self.examples.append(template.format(*values))
 
+    def merge(self, later: _Recorder) -> None:
+        """Add a later recorder's counts, and its examples while there is room."""
+        self.cases += later.cases
+        self.failures += later.failures
+        self.examples += later.examples[: MAX_EXAMPLES - len(self.examples)]
+
     def result(self, name: str) -> CheckResult:
         return CheckResult(name, self.cases, self.failures, tuple(self.examples))
+
+
+def _walk(first: int, last: int, diff: _Recorder | None, systems_rec: _Recorder | None) -> None:
+    """Check each date of ``first..last``: routes into ``diff``, systems into ``systems_rec``.
+
+    ``None`` skips a side. Cases are counted once at the end; a
+    counterexample is formatted only on failure.
+    """
+    systems = [system(k) for k in range(7)]
+    dates = 0
+    for date in iter_dates(first, last):
+        dates += 1
+        o = oracle_weekday(date)
+        if diff is not None:
+            s = weekday_standard(date)
+            f = weekday_calamity(date)
+            b = weekday_calamity_backward(date)
+            if not o == s == f == b:
+                template = "{}: oracle={:d} standard={:d} forward={:d} backward={:d}"
+                diff.fail(template, date, o, s, f, b)
+        if systems_rec is not None:
+            for sys_k in systems:
+                if sys_k.weekday(date) != o:
+                    systems_rec.fail("k={} {}: system weekday != oracle", sys_k.k, date)
+    if diff is not None:
+        diff.cases += dates
+    if systems_rec is not None:
+        systems_rec.cases += len(systems) * dates
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(start_year: int, end_year: int) -> int:
+    """One walker per CPU, at most one per started 400-year cycle.
+
+    One where there is no ``os.fork``, or while other threads run: a
+    forked child would hold a copy of every lock they hold. ``_thread``
+    counts them without importing ``threading``.
+    """
+    if not hasattr(os, "fork") or _thread._count():
+        return 1
+    return min(_cpu_count(), -(-(end_year - start_year + 1) // CYCLE_YEARS))
 
 
 def _per_date_checks(
@@ -80,8 +136,9 @@ def _per_date_checks(
     """Walk the range once for ``diff`` (all four routes) and ``anchored`` (the seven systems).
 
     ``None`` skips a side. The systems run over the first 400 years, which
-    exercise every century class, year, and month shape. Cases are counted
-    per span; a counterexample is formatted only on failure.
+    exercise every century class, year, and month shape. Each span is cut
+    into contiguous year shares, one per worker, walked at once and
+    merged in date order, so the result is the one a single walk gives.
     """
     _check_range(start_year, end_year)
     cycle_end = min(end_year, start_year + CYCLE_YEARS - 1)
@@ -90,27 +147,111 @@ def _per_date_checks(
         spans.append((cycle_end + 1, end_year, None))
     if anchored is not None:
         _anchor_system_structure(anchored)
-    systems = [system(k) for k in range(7)]
+    workers = _worker_count(start_year, end_year)
     for first, last, systems_rec in spans:
-        dates = 0
-        for date in iter_dates(first, last):
-            dates += 1
-            o = oracle_weekday(date)
+        shares = min(workers, last - first + 1)
+        bounds = [first + (last - first + 1) * i // shares for i in range(shares + 1)]
+        walks = [
+            (a, b - 1, None if diff is None else _Recorder(),
+             None if systems_rec is None else _Recorder())
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        for share_diff, share_systems in _walk_shares(walks):
             if diff is not None:
-                s = weekday_standard(date)
-                f = weekday_calamity(date)
-                b = weekday_calamity_backward(date)
-                if not o == s == f == b:
-                    template = "{}: oracle={:d} standard={:d} forward={:d} backward={:d}"
-                    diff.fail(template, date, o, s, f, b)
+                diff.merge(share_diff)
             if systems_rec is not None:
-                for sys_k in systems:
-                    if sys_k.weekday(date) != o:
-                        systems_rec.fail("k={} {}: system weekday != oracle", sys_k.k, date)
-        if diff is not None:
-            diff.cases += dates
-        if systems_rec is not None:
-            systems_rec.cases += len(systems) * dates
+                systems_rec.merge(share_systems)
+
+
+def _walk_shares(shares: list[tuple]) -> list[tuple]:
+    """Run ``_walk(first, last, diff, systems_rec)`` per share; return the recorder pairs in order.
+
+    This process walks the first share; each other share runs in a forked
+    child, which sends its recorders, or the exception it raised, back
+    pickled over a pipe. The first exception in share order is raised
+    here, and no child outlives the call. A share whose child cannot be
+    started is walked here.
+    """
+    if len(shares) == 1:
+        _walk(*shares[0])
+        return [shares[0][2:]]
+    import pickle
+    import signal
+
+    children: list[tuple[int, int] | None] = []
+    reaped = set()
+    try:
+        for share in shares[1:]:
+            children.append(_fork_walk(share))
+        _walk(*shares[0])
+        walked = [shares[0][2:]]
+        for share, child in zip(shares[1:], children):
+            if child is None:
+                _walk(*share)
+                walked.append(share[2:])
+                continue
+            pid, fd = child
+            data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
+            status = os.waitpid(pid, 0)[1]
+            reaped.add(pid)
+            worker = f"verify worker for years {share[0]}..{share[1]}"
+            if os.WIFSIGNALED(status):
+                number = os.WTERMSIG(status)
+                name = next((s.name for s in signal.Signals if s == number), str(number))
+                raise RuntimeError(f"{worker} killed by signal {name}")
+            if not data:
+                raise RuntimeError(f"{worker} sent no result")
+            ok, result = pickle.loads(data)
+            if not ok:
+                raise result
+            walked.append(result)
+        return walked
+    finally:
+        for pid, fd in filter(None, children):
+            os.close(fd)
+            if pid not in reaped:
+                with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+
+
+def _fork_walk(share: tuple) -> tuple[int, int] | None:
+    """Start ``_walk(*share)`` in a forked child; returns its pid and the read end of its pipe.
+
+    Returns ``None`` when no pipe or child can be had. The child never
+    returns: it ends with ``os._exit``, so it flushes none of the stdio
+    buffers it inherited and runs none of its caller's cleanup.
+    """
+    import pickle
+
+    try:
+        read_end, write_end = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid:
+        os.close(write_end)
+        return pid, read_end
+    try:
+        os.close(read_end)
+        try:
+            _walk(*share)
+            payload = pickle.dumps((True, share[2:]))
+        except BaseException as exc:  # raised again in the parent
+            try:
+                payload = pickle.dumps((False, exc))
+            except Exception:
+                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+        view = memoryview(payload)
+        while view:
+            view = view[os.write(write_end, view):]
+    finally:
+        os._exit(0)
 
 
 def differential_sweep(start_year: int, end_year: int) -> CheckResult:

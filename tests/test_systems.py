@@ -246,6 +246,8 @@ def test_anchor_system_check_sweeps_only_the_first_400_years(monkeypatch):
         return iter(())
 
     monkeypatch.setattr(verify, "iter_dates", record)
+    # A forked worker would record in its own memory.
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
     verify.anchor_system_check(1600, 2100)
     verify.anchor_system_check(1990, 2010)
     assert swept == [(1600, 1999), (1990, 2010)]

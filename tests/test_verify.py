@@ -1,7 +1,14 @@
 """The verification sweeps over the whole supported range."""
 
+import errno
+import os
+import signal
+import threading
+
+import pytest
+
 from calamity import conway, method, systems, verify
-from calamity.core import MAX_YEAR, MIN_YEAR
+from calamity.core import MAX_YEAR, MIN_YEAR, WEEKDAYS
 from calamity.verify import MAX_EXAMPLES, _Recorder, differential_sweep
 
 
@@ -48,6 +55,8 @@ def test_verify_range_walks_each_date_once(monkeypatch):
 
     monkeypatch.setattr(verify, "iter_dates", recording_iter_dates)
     monkeypatch.setattr(verify, "oracle_weekday", counting_oracle)
+    # A forked worker would count in its own memory.
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
     summary = verify.verify_range(1600, 2100)
     assert summary.ok
     assert oracle_calls == summary.dates_tested == 182_987
@@ -69,3 +78,169 @@ def test_verify_catches_a_leap_rule_without_the_century_exception(monkeypatch):
         "differential": "1700-01-01: oracle=5 standard=4 forward=4 backward=4",
         "anchor-systems": "k=0 1700-01-01: system weekday != oracle",
     }
+
+
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.fixture
+def deadline():
+    """A walk that hangs fails the test after 60 s instead of hanging the suite."""
+
+    def expire(signum, frame):
+        raise TimeoutError("the walk took more than 60 s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(60)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
+
+
+def _assert_nothing_left(fds_before):
+    # Every worker is reaped and every pipe closed, however the walk ended.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds_before
+
+
+def test_worker_count_follows_cpus_and_started_cycles_and_threads(monkeypatch):
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 8)
+    ends = (1583, 1982, 1983, 2599, 9999)
+    assert [verify._worker_count(1583, end) for end in ends] == [1, 1, 2, 3, 8]
+    # No fork while another thread runs.
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert verify._worker_count(1583, 9999) == 1
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    assert verify._worker_count(1583, 9999) == 1
+
+
+def test_a_forked_walk_reports_what_one_walk_reports(monkeypatch, deadline):
+    # The forward route runs a day late on every 13th: twelve failures a
+    # year, far more than MAX_EXAMPLES in each share of 2000..2400, so the
+    # examples must come from the first share and the counts from all.
+    real, here = verify.weekday_calamity, os.getpid()
+    calls_here = 0
+
+    def late_on_the_13th(date):
+        nonlocal calls_here
+        calls_here += os.getpid() == here
+        day = real(date)
+        return WEEKDAYS[(day + 1) % 7] if date.day == 13 else day
+
+    monkeypatch.setattr(verify, "weekday_calamity", late_on_the_13th)
+    fds = _open_fds()
+    summaries, walked_here = {}, {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+        calls_here = 0
+        summaries[cpus] = verify.verify_range(2000, 2400)
+        walked_here[cpus] = calls_here
+    assert summaries[2] == summaries[1]
+    diff = summaries[1].checks[0]
+    assert (diff.cases, diff.failure_count) == (146_463, 401 * 12)
+    assert diff.examples[-1] == "2000-05-13: oracle=6 standard=6 forward=0 backward=6"
+    assert walked_here[2] < walked_here[1] == diff.cases
+    _assert_nothing_left(fds)
+
+
+def test_the_first_worker_error_in_date_order_is_raised_here(monkeypatch, deadline):
+    # Three shares per span; the second and third raise different errors.
+    real = verify.weekday_standard
+
+    def refuses(date):
+        if date.year == 2200:
+            raise ValueError(f"no weekday for {date}")
+        if date.year == 2300:
+            raise TypeError(f"no weekday either for {date}")
+        return real(date)
+
+    monkeypatch.setattr(verify, "weekday_standard", refuses)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 3)
+    fds = _open_fds()
+    with pytest.raises(ValueError) as raised:
+        verify.verify_range(2000, 2800)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "no weekday for 2200-01-01"
+    _assert_nothing_left(fds)
+
+
+def test_a_worker_error_that_cannot_be_pickled_keeps_its_type_name_and_text(monkeypatch, deadline):
+    class LocalError(Exception):
+        pass
+
+    real = verify.weekday_standard
+
+    def refuses(date):
+        if date.year == 2300:
+            raise LocalError(f"no weekday for {date}")
+        return real(date)
+
+    monkeypatch.setattr(verify, "weekday_standard", refuses)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    fds = _open_fds()
+    with pytest.raises(RuntimeError) as raised:
+        verify.verify_range(2000, 2400)
+    assert str(raised.value) == "LocalError: no weekday for 2300-01-01"
+    _assert_nothing_left(fds)
+
+
+def test_a_killed_worker_raises_runtime_error(monkeypatch, deadline):
+    real, here = verify.weekday_standard, os.getpid()
+
+    def dies_in_a_worker(date):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(date)
+
+    monkeypatch.setattr(verify, "weekday_standard", dies_in_a_worker)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    fds = _open_fds()
+    with pytest.raises(RuntimeError) as raised:
+        verify.verify_range(2000, 2400)
+    assert str(raised.value) == "verify worker for years 2200..2399 killed by signal SIGKILL"
+    _assert_nothing_left(fds)
+
+
+def test_an_interrupt_here_kills_every_worker(monkeypatch, deadline, tmp_path):
+    # The interrupt comes on this process's first date, long before the
+    # worker could reach the last date of its share and leave a mark.
+    real, here = verify.weekday_standard, os.getpid()
+    mark = tmp_path / "worker-finished"
+
+    def interrupted_here(date):
+        if os.getpid() == here:
+            raise KeyboardInterrupt
+        if (date.year, date.month, date.day) == (2399, 12, 31):
+            mark.touch()
+        return real(date)
+
+    monkeypatch.setattr(verify, "weekday_standard", interrupted_here)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    fds = _open_fds()
+    with pytest.raises(KeyboardInterrupt):
+        verify.verify_range(2000, 2400)
+    _assert_nothing_left(fds)
+    assert not mark.exists()
+
+
+def test_a_share_whose_fork_fails_is_walked_here(monkeypatch, deadline):
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    alone = verify.verify_range(2000, 2400)
+
+    def no_fork():
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    fds = _open_fds()
+    assert verify.verify_range(2000, 2400) == alone
+    _assert_nothing_left(fds)
