@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .conway import _century_anchor, doomsday_date
@@ -62,7 +61,6 @@ class OpEvent(NamedTuple):
 (_INT_DIVISION, _MULTIDIGIT_ADD, _MOD_REDUCE_LARGE, _SMALL_SUBTRACT,
  _TABLE_RECALL, _GAP_MEASURE, _DIGIT_SELECT_ADD, _SIGN_CORRECT) = OpKind
 _new = tuple.__new__
-_kind = itemgetter(0)
 
 
 def trace_standard(date: Date) -> list[OpEvent]:
@@ -97,20 +95,18 @@ def trace_calamity(date: Date) -> list[OpEvent]:
     intermediate value.
     """
     trace = weekday_calamity_traced(date, _FORWARD)[1]
-    # Unpacked, not read by field name: Python 3.11 does not specialize
-    # named-tuple field reads, and compare runs this on 146,097 dates.
-    _, (anchor, distance, direction, digit), _, (_, gap, step_digit), _ = trace
+    year = trace.year_navigation
+    step = trace.target_gap
     yy = date.year % 100
-    day = date.day
-    if direction is _FORWARD:
-        nav_operands = (yy, anchor)
+    if year.direction is _FORWARD:
+        nav_operands = (yy, year.anchor)
     else:
-        nav_operands = (anchor, yy)
+        nav_operands = (year.anchor, yy)
     return [
-        _new(OpEvent, (_SMALL_SUBTRACT, nav_operands, distance, (), False)),
-        _new(OpEvent, (_TABLE_RECALL, (distance,), digit, (0,), True)),
-        _new(OpEvent, (_GAP_MEASURE, (day, day - gap), gap, (), True)),
-        _new(OpEvent, (_DIGIT_SELECT_ADD, (gap, step_digit), trace.month_offset, (2,), True)),
+        _new(OpEvent, (_SMALL_SUBTRACT, nav_operands, year.distance, (), False)),
+        _new(OpEvent, (_TABLE_RECALL, (year.distance,), year.digit, (0,), True)),
+        _new(OpEvent, (_GAP_MEASURE, (date.day, date.day - step.gap), step.gap, (), True)),
+        _new(OpEvent, (_DIGIT_SELECT_ADD, (step.gap, step.digit), trace.month_offset, (2,), True)),
     ]
 
 
@@ -190,20 +186,21 @@ def compare(start_year: int, end_year: int) -> ComparisonReport:
     """
     scanned = sum(366 if is_leap(y) else 365 for y in range(start_year, end_year + 1))
 
-    first: tuple[list[OpEvent], list[OpEvent]] | None = None
-    standard_peak = calamity_peak = 0
+    # Per method, in (standard, calamity) order.
+    first: tuple[list[OpEvent], ...] = ()
+    signatures: list[list[OpKind]] = []
+    peaks = [0, 0]
     window_end = min(end_year, start_year + CYCLE_YEARS - 1)
     for date in iter_dates(start_year, window_end):
-        standard_events, calamity_events = trace_standard(date), trace_calamity(date)
-        kinds = list(map(_kind, standard_events)), list(map(_kind, calamity_events))
-        if first is None:
-            first, signatures = (standard_events, calamity_events), kinds
+        traced = (trace_standard(date), trace_calamity(date))
+        kinds = [[e.kind for e in events] for events in traced]
+        if not first:
+            first, signatures = traced, kinds
         elif kinds != signatures:
             raise RuntimeError(f"operation signature changed at {date}")
-        standard_peak = max(standard_peak, max_intermediate(standard_events))
-        calamity_peak = max(calamity_peak, max_intermediate(calamity_events))
+        peaks = [max(peak, max_intermediate(events)) for peak, events in zip(peaks, traced)]
 
-    standard, calamity = map(_profile, first, (standard_peak, calamity_peak))
+    standard, calamity = map(_profile, first, peaks)
     return ComparisonReport(
         start_year=start_year,
         end_year=end_year,

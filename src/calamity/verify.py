@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import _thread
 import contextlib
+import marshal
 import os
 from dataclasses import dataclass
 
@@ -21,6 +22,11 @@ from .vector import code_vocabulary, gaps, square_knot_backward, square_knot_for
 
 #: Counterexamples kept per check.
 MAX_EXAMPLES = 5
+#: Fewest years in a share of the walk: about where a fork starts to pay.
+#: In fresh interpreters on 2 CPUs (Python 3.11.7), two workers walked
+#: 75 years at x0.99 the speed of one, 100 years at x1.08-1.24 and 200
+#: years at x1.78 (BENCH_20.json).
+MIN_SHARE_YEARS = 50
 
 
 @dataclass(frozen=True)
@@ -73,11 +79,12 @@ class _Recorder:
         if len(self.examples) < MAX_EXAMPLES:
             self.examples.append(template.format(*values))
 
-    def merge(self, later: _Recorder) -> None:
-        """Add a later recorder's counts, and its examples while there is room."""
-        self.cases += later.cases
-        self.failures += later.failures
-        self.examples += later.examples[: MAX_EXAMPLES - len(self.examples)]
+    def merge(self, state: tuple[int, int, list[str]]) -> None:
+        """Add a later share's ``(cases, failures, examples)``, examples while there is room."""
+        cases, failures, examples = state
+        self.cases += cases
+        self.failures += failures
+        self.examples += examples[: MAX_EXAMPLES - len(self.examples)]
 
     def result(self, name: str) -> CheckResult:
         return CheckResult(name, self.cases, self.failures, tuple(self.examples))
@@ -118,8 +125,8 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
-def _worker_count(start_year: int, end_year: int) -> int:
-    """One walker per CPU, at most one per started 400-year cycle.
+def _worker_count() -> int:
+    """One walker per CPU.
 
     One where there is no ``os.fork``, or while other threads run: a
     forked child would hold a copy of every lock they hold. ``_thread``
@@ -127,7 +134,7 @@ def _worker_count(start_year: int, end_year: int) -> int:
     """
     if not hasattr(os, "fork") or _thread._count():
         return 1
-    return min(_cpu_count(), -(-(end_year - start_year + 1) // CYCLE_YEARS))
+    return _cpu_count()
 
 
 def _per_date_checks(
@@ -137,8 +144,9 @@ def _per_date_checks(
 
     ``None`` skips a side. The systems run over the first 400 years, which
     exercise every century class, year, and month shape. Each span is cut
-    into contiguous year shares, one per worker, walked at once and
-    merged in date order, so the result is the one a single walk gives.
+    into contiguous year shares, one per worker and each of at least
+    ``MIN_SHARE_YEARS``, walked at once and merged in date order, so the
+    result is the one a single walk gives.
     """
     _check_range(start_year, end_year)
     cycle_end = min(end_year, start_year + CYCLE_YEARS - 1)
@@ -147,48 +155,48 @@ def _per_date_checks(
         spans.append((cycle_end + 1, end_year, None))
     if anchored is not None:
         _anchor_system_structure(anchored)
-    workers = _worker_count(start_year, end_year)
+    workers = _worker_count()
     for first, last, systems_rec in spans:
-        shares = min(workers, last - first + 1)
+        shares = max(1, min(workers, (last - first + 1) // MIN_SHARE_YEARS))
         bounds = [first + (last - first + 1) * i // shares for i in range(shares + 1)]
         walks = [
             (a, b - 1, None if diff is None else _Recorder(),
              None if systems_rec is None else _Recorder())
             for a, b in zip(bounds, bounds[1:])
         ]
-        for share_diff, share_systems in _walk_shares(walks):
+        for diff_state, systems_state in _walk_shares(walks):
             if diff is not None:
-                diff.merge(share_diff)
+                diff.merge(diff_state)
             if systems_rec is not None:
-                systems_rec.merge(share_systems)
+                systems_rec.merge(systems_state)
 
 
-def _walk_shares(shares: list[tuple]) -> list[tuple]:
-    """Run ``_walk(first, last, diff, systems_rec)`` per share; return the recorder pairs in order.
+def _walked(share: tuple) -> list:
+    """``_walk(*share)``; returns the state of its two recorders, ``None`` for a skipped side."""
+    _walk(*share)
+    return [None if rec is None else (rec.cases, rec.failures, rec.examples) for rec in share[2:]]
+
+
+def _walk_shares(shares: list[tuple]) -> list[list]:
+    """Run ``_walk(first, last, diff, systems_rec)`` per share; return their states in order.
 
     This process walks the first share; each other share runs in a forked
-    child, which sends its recorders, or the exception it raised, back
-    pickled over a pipe. The first exception in share order is raised
-    here, and no child outlives the call. A share whose child cannot be
-    started is walked here.
+    child, which sends the state back marshalled over a pipe, or the
+    exception it raised pickled. The first exception in share order is
+    raised here, and no child outlives the call. A share whose child
+    cannot be started is walked here.
     """
     if len(shares) == 1:
-        _walk(*shares[0])
-        return [shares[0][2:]]
-    import pickle
-    import signal
-
+        return [_walked(shares[0])]
     children: list[tuple[int, int] | None] = []
     reaped = set()
     try:
         for share in shares[1:]:
             children.append(_fork_walk(share))
-        _walk(*shares[0])
-        walked = [shares[0][2:]]
+        walked = [_walked(shares[0])]
         for share, child in zip(shares[1:], children):
             if child is None:
-                _walk(*share)
-                walked.append(share[2:])
+                walked.append(_walked(share))
                 continue
             pid, fd = child
             data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
@@ -196,34 +204,39 @@ def _walk_shares(shares: list[tuple]) -> list[tuple]:
             reaped.add(pid)
             worker = f"verify worker for years {share[0]}..{share[1]}"
             if os.WIFSIGNALED(status):
+                import signal
+
                 number = os.WTERMSIG(status)
                 name = next((s.name for s in signal.Signals if s == number), str(number))
                 raise RuntimeError(f"{worker} killed by signal {name}")
             if not data:
                 raise RuntimeError(f"{worker} sent no result")
-            ok, result = pickle.loads(data)
-            if not ok:
-                raise result
-            walked.append(result)
+            if os.WEXITSTATUS(status):
+                import pickle
+
+                raise pickle.loads(data)
+            walked.append(marshal.loads(data))
         return walked
     finally:
         for pid, fd in filter(None, children):
             os.close(fd)
             if pid not in reaped:
+                import signal
+
                 with contextlib.suppress(ProcessLookupError, ChildProcessError):
                     os.kill(pid, signal.SIGKILL)
                     os.waitpid(pid, 0)
 
 
 def _fork_walk(share: tuple) -> tuple[int, int] | None:
-    """Start ``_walk(*share)`` in a forked child; returns its pid and the read end of its pipe.
+    """Start ``_walked(share)`` in a forked child; returns its pid and the read end of its pipe.
 
-    Returns ``None`` when no pipe or child can be had. The child never
-    returns: it ends with ``os._exit``, so it flushes none of the stdio
-    buffers it inherited and runs none of its caller's cleanup.
+    Returns ``None`` when no pipe or child can be had. The child exits 0
+    after sending the marshalled state, 1 after sending its exception
+    pickled. It never returns: it ends with ``os._exit``, so it flushes
+    none of the stdio buffers it inherited and runs none of its caller's
+    cleanup.
     """
-    import pickle
-
     try:
         read_end, write_end = os.pipe()
     except OSError:
@@ -237,21 +250,24 @@ def _fork_walk(share: tuple) -> tuple[int, int] | None:
     if pid:
         os.close(write_end)
         return pid, read_end
+    code = 0
     try:
         os.close(read_end)
         try:
-            _walk(*share)
-            payload = pickle.dumps((True, share[2:]))
+            payload = marshal.dumps(_walked(share))
         except BaseException as exc:  # raised again in the parent
+            import pickle
+
+            code = 1
             try:
-                payload = pickle.dumps((False, exc))
+                payload = pickle.dumps(exc)
             except Exception:
-                payload = pickle.dumps((False, RuntimeError(f"{type(exc).__name__}: {exc}")))
+                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
         view = memoryview(payload)
         while view:
             view = view[os.write(write_end, view):]
     finally:
-        os._exit(0)
+        os._exit(code)
 
 
 def differential_sweep(start_year: int, end_year: int) -> CheckResult:

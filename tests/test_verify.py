@@ -3,7 +3,10 @@
 import errno
 import os
 import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -105,22 +108,46 @@ def _assert_nothing_left(fds_before):
     assert _open_fds() == fds_before
 
 
-def test_worker_count_follows_cpus_and_started_cycles_and_threads(monkeypatch):
+def test_each_span_gets_one_share_per_cpu_of_at_least_min_share_years(monkeypatch):
+    cut = []
+
+    def record(walks):
+        cut.append([walk[:2] for walk in walks])
+        return [[(0, 0, []), (0, 0, [])] for _ in walks]
+
+    monkeypatch.setattr(verify, "_walk_shares", record)
     monkeypatch.setattr(verify, "_cpu_count", lambda: 8)
-    ends = (1583, 1982, 1983, 2599, 9999)
-    assert [verify._worker_count(1583, end) for end in ends] == [1, 1, 2, 3, 8]
+    assert verify.MIN_SHARE_YEARS == 50
+    verify.verify_range(1583, 1681)
+    verify.verify_range(1583, 1682)
+    verify.verify_range(1600, 2000)
+    assert cut == [
+        [(1583, 1681)],
+        [(1583, 1632), (1633, 1682)],
+        [(year, year + 49) for year in range(1600, 2000, 50)],
+        [(2000, 2000)],
+    ]
+    cut.clear()
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    verify.verify_range(1583, 2599)
+    assert cut == [[(1583, 1782), (1783, 1982)], [(1983, 2290), (2291, 2599)]]
+
+
+def test_worker_count_follows_cpus_and_threads(monkeypatch):
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 8)
+    assert verify._worker_count() == 8
     # No fork while another thread runs.
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert verify._worker_count(1583, 9999) == 1
+        assert verify._worker_count() == 1
     finally:
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
     monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
-    assert verify._worker_count(1583, 9999) == 1
+    assert verify._worker_count() == 1
 
 
 def test_a_forked_walk_reports_what_one_walk_reports(monkeypatch, deadline):
@@ -150,6 +177,22 @@ def test_a_forked_walk_reports_what_one_walk_reports(monkeypatch, deadline):
     assert diff.examples[-1] == "2000-05-13: oracle=6 standard=6 forward=0 backward=6"
     assert walked_here[2] < walked_here[1] == diff.cases
     _assert_nothing_left(fds)
+
+
+def test_a_forked_walk_that_succeeds_imports_neither_pickle_nor_signal():
+    # A fresh interpreter: the test runner itself has both loaded.
+    code = (
+        "import sys; from calamity import verify; verify._cpu_count = lambda: 2; "
+        "assert verify.verify_range(2000, 2199).ok; "
+        "print(sorted({'pickle', 'signal'} & set(sys.modules)))"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
 def test_the_first_worker_error_in_date_order_is_raised_here(monkeypatch, deadline):
