@@ -90,32 +90,28 @@ class _Recorder:
         return CheckResult(name, self.cases, self.failures, tuple(self.examples))
 
 
-def _walk(first: int, last: int, diff: _Recorder | None, systems_rec: _Recorder | None) -> None:
-    """Check each date of ``first..last``: routes into ``diff``, systems into ``systems_rec``.
-
-    ``None`` skips a side. Cases are counted once at the end; a
-    counterexample is formatted only on failure.
-    """
-    systems = [system(k) for k in range(7)]
+def _walk(first: int, last: int, routes: bool, systems: bool) -> list[tuple[int, int, list[str]]]:
+    """Check each date of ``first..last``; returns each side's ``(cases, failures, examples)``."""
+    diff, anchored = _Recorder(), _Recorder()
+    checked = [system(k) for k in range(7)] if systems else []
     dates = 0
     for date in iter_dates(first, last):
         dates += 1
         o = oracle_weekday(date)
-        if diff is not None:
+        if routes:
             s = weekday_standard(date)
             f = weekday_calamity(date)
             b = weekday_calamity_backward(date)
             if not o == s == f == b:
                 template = "{}: oracle={:d} standard={:d} forward={:d} backward={:d}"
                 diff.fail(template, date, o, s, f, b)
-        if systems_rec is not None:
-            for sys_k in systems:
-                if sys_k.weekday(date) != o:
-                    systems_rec.fail("k={} {}: system weekday != oracle", sys_k.k, date)
-    if diff is not None:
-        diff.cases += dates
-    if systems_rec is not None:
-        systems_rec.cases += len(systems) * dates
+        for sys_k in checked:
+            if sys_k.weekday(date) != o:
+                anchored.fail("k={} {}: system weekday != oracle", sys_k.k, date)
+    if routes:
+        diff.cases = dates
+    anchored.cases = len(checked) * dates
+    return [(rec.cases, rec.failures, rec.examples) for rec in (diff, anchored)]
 
 
 def _cpu_count() -> int:
@@ -138,47 +134,36 @@ def _worker_count() -> int:
 
 
 def _per_date_checks(
-    start_year: int, end_year: int, diff: _Recorder | None, anchored: _Recorder | None
-) -> None:
-    """Walk the range once for ``diff`` (all four routes) and ``anchored`` (the seven systems).
+    start_year: int, end_year: int, routes: bool, systems: bool
+) -> tuple[_Recorder, _Recorder]:
+    """Walk the range once; returns the differential and anchor-systems recorders.
 
-    ``None`` skips a side. The systems run over the first 400 years, which
-    exercise every century class, year, and month shape. Each span is cut
-    into contiguous year shares, one per worker and each of at least
-    ``MIN_SHARE_YEARS``, walked at once and merged in date order, so the
-    result is the one a single walk gives.
+    The systems walk the first 400 years, which hold every century class,
+    year and month shape. Each span is cut into contiguous year shares,
+    one per worker and each of at least ``MIN_SHARE_YEARS``, walked at
+    once and merged in date order, so the result is one walk's.
     """
     _check_range(start_year, end_year)
+    diff, anchored = _Recorder(), _Recorder()
     cycle_end = min(end_year, start_year + CYCLE_YEARS - 1)
-    spans = [(start_year, cycle_end, anchored)]
-    if diff is not None and cycle_end < end_year:
-        spans.append((cycle_end + 1, end_year, None))
-    if anchored is not None:
+    spans = [(start_year, cycle_end, systems)]
+    if routes and cycle_end < end_year:
+        spans.append((cycle_end + 1, end_year, False))
+    if systems:
         _anchor_system_structure(anchored)
     workers = _worker_count()
-    for first, last, systems_rec in spans:
+    for first, last, span_systems in spans:
         shares = max(1, min(workers, (last - first + 1) // MIN_SHARE_YEARS))
         bounds = [first + (last - first + 1) * i // shares for i in range(shares + 1)]
-        walks = [
-            (a, b - 1, None if diff is None else _Recorder(),
-             None if systems_rec is None else _Recorder())
-            for a, b in zip(bounds, bounds[1:])
-        ]
-        for diff_state, systems_state in _walk_shares(walks):
-            if diff is not None:
-                diff.merge(diff_state)
-            if systems_rec is not None:
-                systems_rec.merge(systems_state)
-
-
-def _walked(share: tuple) -> list:
-    """``_walk(*share)``; returns the state of its two recorders, ``None`` for a skipped side."""
-    _walk(*share)
-    return [None if rec is None else (rec.cases, rec.failures, rec.examples) for rec in share[2:]]
+        walks = [(a, b - 1, routes, span_systems) for a, b in zip(bounds, bounds[1:])]
+        for states in _walk_shares(walks):
+            for rec, state in zip((diff, anchored), states):
+                rec.merge(state)
+    return diff, anchored
 
 
 def _walk_shares(shares: list[tuple]) -> list[list]:
-    """Run ``_walk(first, last, diff, systems_rec)`` per share; return their states in order.
+    """Run ``_walk(first, last, routes, systems)`` per share; return their states in order.
 
     This process walks the first share; each other share runs in a forked
     child, which sends the state back marshalled over a pipe, or the
@@ -186,17 +171,15 @@ def _walk_shares(shares: list[tuple]) -> list[list]:
     raised here, and no child outlives the call. A share whose child
     cannot be started is walked here.
     """
-    if len(shares) == 1:
-        return [_walked(shares[0])]
     children: list[tuple[int, int] | None] = []
     reaped = set()
     try:
         for share in shares[1:]:
             children.append(_fork_walk(share))
-        walked = [_walked(shares[0])]
+        walked = [_walk(*shares[0])]
         for share, child in zip(shares[1:], children):
             if child is None:
-                walked.append(_walked(share))
+                walked.append(_walk(*share))
                 continue
             pid, fd = child
             data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
@@ -229,7 +212,7 @@ def _walk_shares(shares: list[tuple]) -> list[list]:
 
 
 def _fork_walk(share: tuple) -> tuple[int, int] | None:
-    """Start ``_walked(share)`` in a forked child; returns its pid and the read end of its pipe.
+    """Start ``_walk(*share)`` in a forked child; returns its pid and the read end of its pipe.
 
     Returns ``None`` when no pipe or child can be had. The child exits 0
     after sending the marshalled state, 1 after sending its exception
@@ -254,7 +237,7 @@ def _fork_walk(share: tuple) -> tuple[int, int] | None:
     try:
         os.close(read_end)
         try:
-            payload = marshal.dumps(_walked(share))
+            payload = marshal.dumps(_walk(*share))
         except BaseException as exc:  # raised again in the parent
             import pickle
 
@@ -271,10 +254,11 @@ def _fork_walk(share: tuple) -> tuple[int, int] | None:
 
 
 def differential_sweep(start_year: int, end_year: int) -> CheckResult:
-    """Oracle, arithmetic, and both table directions must agree on every date."""
-    rec = _Recorder()
-    _per_date_checks(start_year, end_year, rec, None)
-    return rec.result("differential")
+    """Oracle, arithmetic, and both table directions must agree on every date.
+
+    Kept beside ``verify_range``'s joint walk for perfbench's per-layer timing and the tests.
+    """
+    return _per_date_checks(start_year, end_year, True, False)[0].result("differential")
 
 
 def month_code_check() -> CheckResult:
@@ -373,16 +357,16 @@ def _anchor_system_structure(rec: _Recorder) -> None:
 
 
 def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
-    """Structure of all seven systems, plus agreement with the oracle over the first 400 years."""
-    rec = _Recorder()
-    _per_date_checks(start_year, end_year, None, rec)
-    return rec.result("anchor-systems")
+    """Structure of all seven systems, plus agreement with the oracle over the first 400 years.
+
+    Kept beside ``verify_range``'s joint walk for perfbench's per-layer timing and the tests.
+    """
+    return _per_date_checks(start_year, end_year, False, True)[1].result("anchor-systems")
 
 
 def verify_range(start_year: int, end_year: int) -> VerificationSummary:
     """Run every check over the year range; one walk feeds both per-date checks."""
-    diff, anchored = _Recorder(), _Recorder()
-    _per_date_checks(start_year, end_year, diff, anchored)
+    diff, anchored = _per_date_checks(start_year, end_year, True, True)
     tables = (month_code_check(), square_knot_check(), year_table_check(), year_offset_check())
     checks = (diff.result("differential"), *tables, anchored.result("anchor-systems"))
     return VerificationSummary(start_year, end_year, diff.cases, checks)

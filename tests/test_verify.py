@@ -109,10 +109,12 @@ def _assert_nothing_left(fds_before):
 
 
 def test_each_span_gets_one_share_per_cpu_of_at_least_min_share_years(monkeypatch):
+    # A share is (first, last, routes, systems): the systems walk only the
+    # first cycle, and only the checks that ask for them.
     cut = []
 
     def record(walks):
-        cut.append([walk[:2] for walk in walks])
+        cut.append(walks)
         return [[(0, 0, []), (0, 0, [])] for _ in walks]
 
     monkeypatch.setattr(verify, "_walk_shares", record)
@@ -122,15 +124,23 @@ def test_each_span_gets_one_share_per_cpu_of_at_least_min_share_years(monkeypatc
     verify.verify_range(1583, 1682)
     verify.verify_range(1600, 2000)
     assert cut == [
-        [(1583, 1681)],
-        [(1583, 1632), (1633, 1682)],
-        [(year, year + 49) for year in range(1600, 2000, 50)],
-        [(2000, 2000)],
+        [(1583, 1681, True, True)],
+        [(1583, 1632, True, True), (1633, 1682, True, True)],
+        [(year, year + 49, True, True) for year in range(1600, 2000, 50)],
+        [(2000, 2000, True, False)],
     ]
     cut.clear()
     monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
     verify.verify_range(1583, 2599)
-    assert cut == [[(1583, 1782), (1783, 1982)], [(1983, 2290), (2291, 2599)]]
+    verify.differential_sweep(1583, 2599)
+    verify.anchor_system_check(1583, 2599)
+    assert cut == [
+        [(1583, 1782, True, True), (1783, 1982, True, True)],
+        [(1983, 2290, True, False), (2291, 2599, True, False)],
+        [(1583, 1782, True, False), (1783, 1982, True, False)],
+        [(1983, 2290, True, False), (2291, 2599, True, False)],
+        [(1583, 1782, False, True), (1783, 1982, False, True)],
+    ]
 
 
 def test_worker_count_follows_cpus_and_threads(monkeypatch):
@@ -150,32 +160,63 @@ def test_worker_count_follows_cpus_and_threads(monkeypatch):
     assert verify._worker_count() == 1
 
 
-def test_a_forked_walk_reports_what_one_walk_reports(monkeypatch, deadline):
-    # The forward route runs a day late on every 13th: twelve failures a
-    # year, far more than MAX_EXAMPLES in each share of 2000..2400, so the
-    # examples must come from the first share and the counts from all.
-    real, here = verify.weekday_calamity, os.getpid()
+def _late_weekday(real):
+    return lambda date: WEEKDAYS[(real(date) + 1) % 7] if date.day == 13 else real(date)
+
+
+def _late_knot(real):
+    return lambda day, code: (real(day, code) + 1) % 7 if day == 13 else real(day, code)
+
+
+@pytest.mark.parametrize(
+    "sweep, module, route, late, cases, failures, last_example, calls",
+    [
+        pytest.param(
+            verify.verify_range, verify, "weekday_calamity", _late_weekday,
+            146_463, 401 * 12, "2000-05-13: oracle=6 standard=6 forward=0 backward=6",
+            146_463, id="verify_range",
+        ),
+        pytest.param(
+            verify.differential_sweep, verify, "weekday_calamity", _late_weekday,
+            146_463, 401 * 12, "2000-05-13: oracle=6 standard=6 forward=0 backward=6",
+            146_463, id="differential_sweep",
+        ),
+        # The systems walk 2000..2399 alone, in two shares at 2 CPUs, after
+        # 27 structure cases per system.
+        pytest.param(
+            verify.anchor_system_check, systems, "square_knot_forward", _late_knot,
+            7 * 27 + 7 * 146_097, 7 * 400 * 12, "k=4 2000-01-13: system weekday != oracle",
+            7 * 146_097, id="anchor_system_check",
+        ),
+    ],
+)
+def test_a_forked_walk_reports_what_one_walk_reports(
+    monkeypatch, deadline, sweep, module, route, late, cases, failures, last_example, calls
+):
+    # The route runs a day late on every 13th: twelve failures a year, far
+    # more than MAX_EXAMPLES in each share of 2000..2400, so the examples
+    # must come from the first share and the counts from all.
+    faulty, here = late(getattr(module, route)), os.getpid()
     calls_here = 0
 
-    def late_on_the_13th(date):
+    def late_on_the_13th(*args):
         nonlocal calls_here
         calls_here += os.getpid() == here
-        day = real(date)
-        return WEEKDAYS[(day + 1) % 7] if date.day == 13 else day
+        return faulty(*args)
 
-    monkeypatch.setattr(verify, "weekday_calamity", late_on_the_13th)
+    monkeypatch.setattr(module, route, late_on_the_13th)
     fds = _open_fds()
-    summaries, walked_here = {}, {}
+    results, walked_here = {}, {}
     for cpus in (1, 2):
         monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
         calls_here = 0
-        summaries[cpus] = verify.verify_range(2000, 2400)
+        results[cpus] = sweep(2000, 2400)
         walked_here[cpus] = calls_here
-    assert summaries[2] == summaries[1]
-    diff = summaries[1].checks[0]
-    assert (diff.cases, diff.failure_count) == (146_463, 401 * 12)
-    assert diff.examples[-1] == "2000-05-13: oracle=6 standard=6 forward=0 backward=6"
-    assert walked_here[2] < walked_here[1] == diff.cases
+    assert results[2] == results[1]
+    check = results[1].checks[0] if sweep is verify.verify_range else results[1]
+    assert (check.cases, check.failure_count) == (cases, failures)
+    assert check.examples[-1] == last_example
+    assert walked_here[2] < walked_here[1] == calls
     _assert_nothing_left(fds)
 
 
@@ -250,6 +291,23 @@ def test_a_killed_worker_raises_runtime_error(monkeypatch, deadline):
     with pytest.raises(RuntimeError) as raised:
         verify.verify_range(2000, 2400)
     assert str(raised.value) == "verify worker for years 2200..2399 killed by signal SIGKILL"
+    _assert_nothing_left(fds)
+
+
+def test_a_worker_that_exits_without_a_result_raises_runtime_error(monkeypatch, deadline):
+    real, here = verify.weekday_standard, os.getpid()
+
+    def exits_in_a_worker(date):
+        if os.getpid() != here:
+            os._exit(0)
+        return real(date)
+
+    monkeypatch.setattr(verify, "weekday_standard", exits_in_a_worker)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    fds = _open_fds()
+    with pytest.raises(RuntimeError) as raised:
+        verify.verify_range(2000, 2400)
+    assert str(raised.value) == "verify worker for years 2200..2399 sent no result"
     _assert_nothing_left(fds)
 
 
