@@ -35,12 +35,12 @@ class CheckResult:
 
     name: str
     cases: int
-    failure_count: int
+    failures: int
     examples: tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return self.failure_count == 0
+        return self.failures == 0
 
 
 @dataclass(frozen=True)
@@ -183,18 +183,17 @@ def _walk_shares(shares: list[tuple]) -> list[list]:
                 continue
             pid, fd = child
             data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
-            status = os.waitpid(pid, 0)[1]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped.add(pid)
             worker = f"verify worker for years {share[0]}..{share[1]}"
-            if os.WIFSIGNALED(status):
+            if code < 0:
                 import signal
 
-                number = os.WTERMSIG(status)
-                name = next((s.name for s in signal.Signals if s == number), str(number))
+                name = next((s.name for s in signal.Signals if s == -code), str(-code))
                 raise RuntimeError(f"{worker} killed by signal {name}")
             if not data:
                 raise RuntimeError(f"{worker} sent no result")
-            if os.WEXITSTATUS(status):
+            if code:
                 import pickle
 
                 raise pickle.loads(data)
@@ -220,15 +219,13 @@ def _fork_walk(share: tuple) -> tuple[int, int] | None:
     none of the stdio buffers it inherited and runs none of its caller's
     cleanup.
     """
+    fds: tuple[int, ...] = ()
     try:
-        read_end, write_end = os.pipe()
-    except OSError:
-        return None
-    try:
+        fds = read_end, write_end = os.pipe()
         pid = os.fork()
     except OSError:
-        os.close(read_end)
-        os.close(write_end)
+        for fd in fds:
+            os.close(fd)
         return None
     if pid:
         os.close(write_end)
@@ -246,9 +243,8 @@ def _fork_walk(share: tuple) -> tuple[int, int] | None:
                 payload = pickle.dumps(exc)
             except Exception:
                 payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        view = memoryview(payload)
-        while view:
-            view = view[os.write(write_end, view):]
+        with open(write_end, "wb") as pipe:
+            pipe.write(payload)
     finally:
         os._exit(code)
 
@@ -347,12 +343,13 @@ def _anchor_system_structure(rec: _Recorder) -> None:
             )
         days = [(month, 7 if r == 0 else r) for month, r in enumerate(sys_k.residues, start=1)]
         rec.case(classify(days) == k, "k={}: classify round trip", k)
-        zero_months = zero_month_count(k)
-        expected_zero = len(grouping.get((7 - k) % 7, frozenset()))
-        rec.case(zero_months == expected_zero, "k={}: zero-month count {}", k, zero_months)
+        count = zero_month_count(k)
+        zeros = {month for month, r in enumerate(sys_k.residues, start=1) if r == 0}
+        expected = grouping.get((7 - k) % 7, frozenset())
+        rec.case(zeros == expected and count == len(zeros), "k={}: zero-month count {}", k, count)
         rec.case(
-            zero_months == 3 if k == 0 else zero_months <= 2,
-            "k={}: zero-month optimality violated ({})", k, zero_months,
+            count == 3 if k == 0 else count <= 2,
+            "k={}: zero-month optimality violated ({})", k, count,
         )
 
 

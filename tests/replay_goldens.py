@@ -50,7 +50,7 @@ def differential_mismatches() -> list[str]:
     result = differential_sweep(2000, 2000)
     if result.cases == 366 and result.ok:
         return []
-    return [f"differential 2000..2000: {result.cases} cases, {result.failure_count} failures"]
+    return [f"differential 2000..2000: {result.cases} cases, {result.failures} failures"]
 
 
 def replay() -> int:

@@ -461,12 +461,18 @@ def test_json_keys_are_the_record_fields(capsys):
     verify = json.loads(run_cli(capsys, "verify", "2000", "2000", "--json")[1])
     assert set(verify) == names(VerificationSummary) | {"ok"}
     for check in verify["checks"]:
-        assert set(check) == names(CheckResult) - {"failure_count"} | {"failures"}
+        assert set(check) == names(CheckResult)
 
 
 def test_unknown_command_exits_2(capsys):
     code, _, _ = run_cli(capsys, "frobnicate")
     assert code == 2
+
+
+def test_help_exits_0_with_usage_on_stdout(capsys):
+    code, out, err = run_cli(capsys, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: calamity ")
 
 
 ARABIC_ONE = "\u0661"

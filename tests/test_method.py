@@ -80,7 +80,7 @@ def test_backward_route_runs_the_verified_square_knot(monkeypatch):
     monkeypatch.setattr(method, "square_knot_backward", lambda day, code: real(day, code) + 1)
     date = Date(2025, 12, 25)
     assert weekday_calamity_traced(date, Direction.BACKWARD)[0] != oracle_weekday(date)
-    assert verify.differential_sweep(2000, 2000).failure_count == 366
+    assert verify.differential_sweep(2000, 2000).failures == 366
 
 
 def test_traced_forward_answer_is_the_verified_one(monkeypatch):

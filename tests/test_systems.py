@@ -273,7 +273,14 @@ def test_anchor_system_check_catches_a_misgrouped_month(monkeypatch):
     moved = {**grouping, 0: grouping[0] - {2}, 1: grouping[1] | {2}}
     monkeypatch.setattr(verify, "month_groupings", lambda: moved)
     result = verify.anchor_system_check(2000, 2000)
-    assert (result.cases, result.failure_count, result.ok) == (2751, 2, False)
+    assert (result.cases, result.failures, result.ok) == (2751, 2, False)
+    assert result.examples == ("k=0: zero-month count 3", "k=6: zero-month count 1")
+    # Swapping month 2 (residue 0) with month 8 (residue 1) keeps every
+    # group's size: only the sets of zero months tell.
+    swapped = {**grouping, 0: grouping[0] - {2} | {8}, 1: grouping[1] - {8} | {2}}
+    monkeypatch.setattr(verify, "month_groupings", lambda: swapped)
+    result = verify.anchor_system_check(2000, 2000)
+    assert (result.cases, result.failures, result.ok) == (2751, 2, False)
     assert result.examples == ("k=0: zero-month count 3", "k=6: zero-month count 1")
 
 
@@ -283,7 +290,7 @@ def test_anchor_system_check_catches_a_non_optimal_system(monkeypatch):
     counts = {k: zero_month_count(k) for k in range(7)}
     monkeypatch.setattr(verify, "zero_month_count", lambda k: 3 if k == 1 else counts[k])
     result = verify.anchor_system_check(2000, 2000)
-    assert (result.cases, result.failure_count) == (2751, 2)
+    assert (result.cases, result.failures) == (2751, 2)
     assert result.examples == (
         "k=1: zero-month count 3",
         "k=1: zero-month optimality violated (3)",

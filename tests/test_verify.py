@@ -19,7 +19,7 @@ def test_differential_sweep_full_range():
     # Every date from 1583-01-01 through 9999-12-31 through all four routes.
     result = differential_sweep(MIN_YEAR, MAX_YEAR)
     assert result.cases == 3_074_246
-    assert result.failure_count == 0
+    assert result.failures == 0
     assert result.examples == ()
 
 
@@ -36,7 +36,7 @@ def test_recorder_formats_only_the_examples_it_keeps():
     for _ in range(MAX_EXAMPLES + 3):
         rec.case(False, "case {:d}", Probe())
     result = rec.result("probe")
-    assert (result.cases, result.failure_count) == (MAX_EXAMPLES + 4, MAX_EXAMPLES + 3)
+    assert (result.cases, result.failures) == (MAX_EXAMPLES + 4, MAX_EXAMPLES + 3)
     assert result.examples == ("case probe:d",) * MAX_EXAMPLES
     assert formatted == ["d"] * MAX_EXAMPLES
 
@@ -74,7 +74,7 @@ def test_verify_catches_a_leap_rule_without_the_century_exception(monkeypatch):
     for module in (conway, method, systems):
         monkeypatch.setattr(module, "_is_leap", lambda year: year % 4 == 0)
     summary = verify.verify_range(1583, 2599)
-    failed = {check.name: check.failure_count for check in summary.checks if not check.ok}
+    failed = {check.name: check.failures for check in summary.checks if not check.ok}
     assert failed == {"differential": 413, "anchor-systems": 1_239}
     examples = {check.name: check.examples[0] for check in summary.checks if not check.ok}
     assert examples == {
@@ -214,7 +214,7 @@ def test_a_forked_walk_reports_what_one_walk_reports(
         walked_here[cpus] = calls_here
     assert results[2] == results[1]
     check = results[1].checks[0] if sweep is verify.verify_range else results[1]
-    assert (check.cases, check.failure_count) == (cases, failures)
+    assert (check.cases, check.failures) == (cases, failures)
     assert check.examples[-1] == last_example
     assert walked_here[2] < walked_here[1] == calls
     _assert_nothing_left(fds)
@@ -294,6 +294,24 @@ def test_a_killed_worker_raises_runtime_error(monkeypatch, deadline):
     _assert_nothing_left(fds)
 
 
+def test_a_worker_killed_by_a_signal_without_a_name_reports_its_number(monkeypatch, deadline):
+    # A real-time signal above SIGRTMIN is no member of signal.Signals.
+    real, here, number = verify.weekday_standard, os.getpid(), signal.SIGRTMIN + 1
+
+    def dies_in_a_worker(date):
+        if os.getpid() != here:
+            os.kill(os.getpid(), number)
+        return real(date)
+
+    monkeypatch.setattr(verify, "weekday_standard", dies_in_a_worker)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    fds = _open_fds()
+    with pytest.raises(RuntimeError) as raised:
+        verify.verify_range(2000, 2400)
+    assert str(raised.value) == f"verify worker for years 2200..2399 killed by signal {number}"
+    _assert_nothing_left(fds)
+
+
 def test_a_worker_that_exits_without_a_result_raises_runtime_error(monkeypatch, deadline):
     real, here = verify.weekday_standard, os.getpid()
 
@@ -333,15 +351,39 @@ def test_an_interrupt_here_kills_every_worker(monkeypatch, deadline, tmp_path):
     assert not mark.exists()
 
 
-def test_a_share_whose_fork_fails_is_walked_here(monkeypatch, deadline):
+@pytest.mark.parametrize(
+    "call, error", [("pipe", errno.EMFILE), ("fork", errno.EAGAIN)], ids=["pipe", "fork"]
+)
+def test_a_share_whose_fork_fails_is_walked_here(monkeypatch, deadline, call, error):
     monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
     alone = verify.verify_range(2000, 2400)
 
-    def no_fork():
-        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+    def fails():
+        raise OSError(error, os.strerror(error))
 
-    monkeypatch.setattr(os, "fork", no_fork)
+    monkeypatch.setattr(os, call, fails)
     monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
     fds = _open_fds()
     assert verify.verify_range(2000, 2400) == alone
+    _assert_nothing_left(fds)
+
+
+def test_a_share_after_one_walked_here_is_still_merged(monkeypatch, deadline):
+    # Of three shares, the second cannot fork and the third can: the
+    # third's result must still be read and merged.
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    alone = verify.verify_range(2000, 2400)
+    real_fork, forks = os.fork, []
+
+    def first_fork_fails():
+        forks.append(len(forks))
+        if len(forks) == 1:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", first_fork_fails)
+    monkeypatch.setattr(verify, "_cpu_count", lambda: 3)
+    fds = _open_fds()
+    assert verify.verify_range(2000, 2400) == alone
+    assert forks == [0, 1]
     _assert_nothing_left(fds)
