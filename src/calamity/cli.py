@@ -1,11 +1,11 @@
 """Command-line entry points.
 
 Five commands: weekday, tables, classify, verify, metrics. Every
-command takes ``--json`` for machine-readable output; the JSON is
-emitted with sorted keys and two-space indentation so that parsing and
-re-dumping it reproduces the bytes exactly. Each handler returns its
-exit code with that JSON payload, which is all the command's text
-renderer reads, or raises ``_UsageError`` for ``main`` to report.
+command takes ``--json``; its JSON has sorted keys and two-space
+indentation, so parsing and re-dumping it reproduces the bytes exactly.
+``build_parser`` gives each command's subparser its handler and text
+renderer, which ``main`` calls. A handler returns its exit code with the
+JSON payload, all the renderer reads, or raises ``_UsageError``.
 
 Exit codes: 0 on success, 1 when a verification or classification
 fails or the output cannot be written, 2 on usage or parse errors.
@@ -114,6 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="show every component of the computation, calamity only",
     )
+    p_weekday.set_defaults(handlers=(_cmd_weekday, _weekday_lines))
 
     p_tables = sub.add_parser("tables", help="print the lookup tables")
     p_tables.add_argument(
@@ -124,6 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="anchor system 0..6 (default: 0)",
     )
     p_tables.add_argument("--leap", action="store_true", help="leap-year month codes")
+    p_tables.set_defaults(handlers=(_cmd_tables, _tables_lines))
 
     p_classify = sub.add_parser(
         "classify", help="identify the anchor system behind 12 month/day pairs"
@@ -135,12 +137,15 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="M/D",
         help="one token per month, e.g. 3/7",
     )
+    p_classify.set_defaults(handlers=(_cmd_classify, _classify_lines))
 
-    for name, help_text in (
-        ("verify", "run the self-verification sweeps"),
-        ("metrics", "compare per-date operation profiles of the two methods"),
+    for name, help_text, handlers in (
+        ("verify", "run the self-verification sweeps", (_cmd_verify, _verify_lines)),
+        ("metrics", "compare per-date operation profiles of the two methods",
+         (_cmd_metrics, _metrics_lines)),
     ):
         p_range = sub.add_parser(name, help=help_text)
+        p_range.set_defaults(handlers=handlers)
         p_range.add_argument("start", type=_year_argument, nargs="?", default=MIN_YEAR)
         p_range.add_argument("end", type=_year_argument, nargs="?", default=_DEFAULT_VERIFY_END)
 
@@ -309,22 +314,13 @@ def _metrics_lines(payload: Payload) -> list[str]:
     return lines
 
 
-_HANDLERS = {
-    "weekday": (_cmd_weekday, _weekday_lines),
-    "tables": (_cmd_tables, _tables_lines),
-    "classify": (_cmd_classify, _classify_lines),
-    "verify": (_cmd_verify, _verify_lines),
-    "metrics": (_cmd_metrics, _metrics_lines),
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code
-    handler, render = _HANDLERS[args.command]
+    handler, render = args.handlers
     try:
         code, payload = handler(args)
     except _UsageError as exc:

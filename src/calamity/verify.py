@@ -108,8 +108,7 @@ def _walk(first: int, last: int, routes: bool, systems: bool) -> list[tuple[int,
         for sys_k in checked:
             if sys_k.weekday(date) != o:
                 anchored.fail("k={} {}: system weekday != oracle", sys_k.k, date)
-    if routes:
-        diff.cases = dates
+    diff.cases = dates
     anchored.cases = len(checked) * dates
     return [(rec.cases, rec.failures, rec.examples) for rec in (diff, anchored)]
 

@@ -10,7 +10,9 @@ It checks:
   add one, write a file holding only its ``$ calamity …`` line, run
   ``PYTHONPATH=src python tests/test_golden.py`` and review the diff),
 * that ``calamity weekday`` rejects non-ISO dates with exit code 2,
-* that all four weekday routes agree on every date of 2000.
+* that ``verify_range(2000, 2000)`` passes every check over the 366
+  dates of 2000: the four weekday routes agree, and the tables and the
+  anchor systems hold.
 
 It prints one line per mismatch and exits 1 if there is any.
 """
@@ -20,7 +22,7 @@ import io
 import sys
 
 from calamity.cli import main
-from calamity.verify import differential_sweep
+from calamity.verify import verify_range
 
 from transcripts import GOLDEN_DIR, golden_argv, transcript
 
@@ -46,15 +48,16 @@ def contract_mismatches() -> list[str]:
     return mismatches
 
 
-def differential_mismatches() -> list[str]:
-    result = differential_sweep(2000, 2000)
-    if result.cases == 366 and result.ok:
+def verify_mismatches() -> list[str]:
+    summary = verify_range(2000, 2000)
+    if summary.dates_tested == 366 and summary.ok:
         return []
-    return [f"differential 2000..2000: {result.cases} cases, {result.failures} failures"]
+    failed = ", ".join(check.name for check in summary.checks if not check.ok) or "none"
+    return [f"verify 2000..2000: {summary.dates_tested} dates, failed checks: {failed}"]
 
 
 def replay() -> int:
-    mismatches = golden_mismatches() + contract_mismatches() + differential_mismatches()
+    mismatches = golden_mismatches() + contract_mismatches() + verify_mismatches()
     for line in mismatches:
         print(line)
     goldens = len(list(GOLDEN_DIR.iterdir()))

@@ -7,7 +7,6 @@ import json
 import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +16,7 @@ from calamity.cli import main
 from calamity.core import Weekday
 from calamity.metrics import ComparisonReport, MethodProfile
 from calamity.verify import CheckResult, VerificationSummary
+from support import child_env
 
 WANG_TOKENS = ["1/1", "2/12", "3/5", "4/2", "5/7", "6/4",
                "7/9", "8/6", "9/3", "10/8", "11/12", "12/10"]
@@ -521,13 +521,6 @@ def test_usage_error_bytes(capsys, monkeypatch, argv, err, json_flag):
     assert run_cli(capsys, *argv, *json_flag) == (2, "", err)
 
 
-def _child_env():
-    """The environment for a ``python -m calamity.cli`` child that imports this tree."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
-
-
 @pytest.mark.parametrize("stdout, argv, code, err_tail", [
     # The read end closes before the child prints anything: no message.
     ("pipe", ["verify", "2000", "2000"], 1, []),
@@ -545,7 +538,7 @@ def test_unwritable_stdout_exits_without_traceback(stdout, argv, code, err_tail)
             [sys.executable, "-m", "calamity.cli", *argv],
             stdout={"pipe": subprocess.PIPE, "closed": None, "/dev/full": full}[stdout],
             stderr=subprocess.PIPE,
-            env=_child_env(),
+            env=child_env(),
             # Started with fd 1 closed, the child has no sys.stdout at all.
             preexec_fn=(lambda: os.close(1)) if stdout == "closed" else None,
         )
@@ -570,7 +563,7 @@ def test_closed_stderr_drops_diagnostics_and_keeps_stdout(argv):
     def child(**streams):
         return subprocess.run(
             [sys.executable, "-m", "calamity.cli", *argv],
-            stdout=subprocess.PIPE, env=_child_env(), timeout=60, **streams,
+            stdout=subprocess.PIPE, env=child_env(), timeout=60, **streams,
         )
 
     opened = child(stderr=subprocess.PIPE)

@@ -284,14 +284,38 @@ def test_anchor_system_check_catches_a_misgrouped_month(monkeypatch):
     assert result.examples == ("k=0: zero-month count 3", "k=6: zero-month count 1")
 
 
-def test_anchor_system_check_catches_a_non_optimal_system(monkeypatch):
+ZERO_CODE = VectorCode(0, 0)
+
+
+@pytest.mark.parametrize("name, fake, failures, examples", [
     # A shifted system with three zero months fails both the count and
     # the bound that only the classic set may reach three.
-    counts = {k: zero_month_count(k) for k in range(7)}
-    monkeypatch.setattr(verify, "zero_month_count", lambda k: 3 if k == 1 else counts[k])
-    result = verify.anchor_system_check(2000, 2000)
-    assert (result.cases, result.failures) == (2751, 2)
-    assert result.examples == (
+    ("zero_month_count", lambda real: lambda k: 3 if k == 1 else real(k), 2, (
         "k=1: zero-month count 3",
         "k=1: zero-month optimality violated (3)",
-    )
+    )),
+    # Code 00 is a month code 12 times among the seven systems.
+    ("code_vocabulary", lambda real: lambda: real() - {ZERO_CODE}, 12, (
+        "k=0 month 2: code 00 not in vocabulary",
+        "k=0 month 3: code 00 not in vocabulary",
+        "k=0 month 11: code 00 not in vocabulary",
+        "k=1 month 6: code 00 not in vocabulary",
+        "k=2 month 9: code 00 not in vocabulary",
+    )),
+    ("rotate_code", lambda real: lambda code: code if code == ZERO_CODE else real(code), 12, (
+        "k=0 month 2: rotation mismatch",
+        "k=0 month 3: rotation mismatch",
+        "k=0 month 11: rotation mismatch",
+        "k=1 month 6: rotation mismatch",
+        "k=2 month 9: rotation mismatch",
+    )),
+    # A classifier that never answers 6 misses one round trip.
+    ("classify", lambda real: lambda days: min(real(days), 5), 1, ("k=6: classify round trip",)),
+], ids=["zero-month-count", "vocabulary", "rotation", "classify"])
+def test_anchor_system_check_catches_a_non_optimal_system(
+    monkeypatch, name, fake, failures, examples
+):
+    monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
+    result = verify.anchor_system_check(2000, 2000)
+    assert (result.cases, result.failures) == (2751, failures)
+    assert result.examples == examples

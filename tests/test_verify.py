@@ -6,13 +6,13 @@ import signal
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
 from calamity import conway, method, systems, verify
 from calamity.core import MAX_YEAR, MIN_YEAR, WEEKDAYS
 from calamity.verify import MAX_EXAMPLES, _Recorder, differential_sweep
+from support import child_env
 
 
 def test_differential_sweep_full_range():
@@ -227,11 +227,8 @@ def test_a_forked_walk_that_succeeds_imports_neither_pickle_nor_signal():
         "assert verify.verify_range(2000, 2199).ok; "
         "print(sorted({'pickle', 'signal'} & set(sys.modules)))"
     )
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    paths = filter(None, [src, os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
     )
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
