@@ -19,8 +19,9 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from . import _shares
 from .conway import _century_anchor, doomsday_date
-from .core import _FORWARD, CYCLE_YEARS, Date, _is_leap, is_leap, iter_dates
+from .core import _FORWARD, CYCLE_YEARS, Date, _check_range, _is_leap, is_leap, iter_dates
 from .method import weekday_calamity_traced
 
 
@@ -61,6 +62,12 @@ class OpEvent(NamedTuple):
 (_INT_DIVISION, _MULTIDIGIT_ADD, _MOD_REDUCE_LARGE, _SMALL_SUBTRACT,
  _TABLE_RECALL, _GAP_MEASURE, _DIGIT_SELECT_ADD, _SIGN_CORRECT) = OpKind
 _new = tuple.__new__
+
+#: Fewest years in a share of the traced window: about where a fork
+#: starts to pay. In fresh interpreters on 2 CPUs (Python 3.11.7), two
+#: workers traced 40 years at x0.97-1.02 the speed of one, 50 years at
+#: x0.96-1.45, 60 years at x1.89 and 75 years at x1.84-1.96 (BENCH_24.json).
+MIN_SHARE_YEARS = 30
 
 
 def trace_standard(date: Date) -> list[OpEvent]:
@@ -168,6 +175,27 @@ def _profile(events: Sequence[OpEvent], peak: int) -> MethodProfile:
     )
 
 
+def _trace_share(
+    first: int, last: int, signatures: list[list[OpKind]], skip_first: bool
+) -> tuple[list[int], str | None]:
+    """Trace ``first..last``; returns both peaks and the first date off ``signatures``, or None.
+
+    ``signatures`` are the kinds of the range's first date, which the
+    caller has traced already when ``skip_first`` is set. A share stops
+    at its first changed date: no later date can be reported.
+    """
+    peaks = [0, 0]
+    dates = iter_dates(first, last)
+    if skip_first:
+        next(dates)
+    for date in dates:
+        traced = (trace_standard(date), trace_calamity(date))
+        if [[e.kind for e in events] for events in traced] != signatures:
+            return peaks, str(date)
+        peaks = [max(peak, max_intermediate(events)) for peak, events in zip(peaks, traced)]
+    return peaks, None
+
+
 def compare(start_year: int, end_year: int) -> ComparisonReport:
     """Aggregate both traces over every date in the year range.
 
@@ -183,22 +211,28 @@ def compare(start_year: int, end_year: int) -> ComparisonReport:
     as in a date-by-date sweep, and a signature change is reported at
     the same first date. ``dates_scanned`` still counts every date in
     the range.
+
+    The window is traced in forked year shares, one per CPU and each of
+    at least ``MIN_SHARE_YEARS``. Each share checks every one of its
+    dates against the range's first date and reports the first that
+    differs; the first such date in date order is raised, so the report
+    and the error text are the ones a single sweep gives.
     """
+    _check_range(start_year, end_year)
     scanned = sum(366 if is_leap(y) else 365 for y in range(start_year, end_year + 1))
 
     # Per method, in (standard, calamity) order.
-    first: tuple[list[OpEvent], ...] = ()
-    signatures: list[list[OpKind]] = []
-    peaks = [0, 0]
+    start = Date(start_year, 1, 1)
+    first = (trace_standard(start), trace_calamity(start))
+    signatures = [[e.kind for e in events] for events in first]
+    peaks = [max_intermediate(events) for events in first]
     window_end = min(end_year, start_year + CYCLE_YEARS - 1)
-    for date in iter_dates(start_year, window_end):
-        traced = (trace_standard(date), trace_calamity(date))
-        kinds = [[e.kind for e in events] for events in traced]
-        if not first:
-            first, signatures = traced, kinds
-        elif kinds != signatures:
-            raise RuntimeError(f"operation signature changed at {date}")
-        peaks = [max(peak, max_intermediate(events)) for peak, events in zip(peaks, traced)]
+    shares = _shares.split_years(start_year, window_end, MIN_SHARE_YEARS)
+    traces = [(a, b, signatures, a == start_year) for a, b in shares]
+    for share_peaks, changed in _shares.run("metrics", _trace_share, traces):
+        if changed is not None:
+            raise RuntimeError(f"operation signature changed at {changed}")
+        peaks = [max(pair) for pair in zip(peaks, share_peaks)]
 
     standard, calamity = map(_profile, first, peaks)
     return ComparisonReport(

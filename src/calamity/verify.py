@@ -7,12 +7,9 @@ independent computations of every weekday in the range must agree.
 
 from __future__ import annotations
 
-import _thread
-import contextlib
-import marshal
-import os
 from dataclasses import dataclass
 
+from . import _shares
 from .conway import doomsday_date, weekday_standard, year_offset_arithmetic
 from .core import CYCLE_YEARS, _check_range, iter_dates, month_length, oracle_weekday
 from .doomyears import MAX_DISTANCE, anchor_years, doomyear, nearest_anchor, year_offset_doomyear
@@ -113,25 +110,6 @@ def _walk(first: int, last: int, routes: bool, systems: bool) -> list[tuple[int,
     return [(rec.cases, rec.failures, rec.examples) for rec in (diff, anchored)]
 
 
-def _cpu_count() -> int:
-    """CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _worker_count() -> int:
-    """One walker per CPU.
-
-    One where there is no ``os.fork``, or while other threads run: a
-    forked child would hold a copy of every lock they hold. ``_thread``
-    counts them without importing ``threading``.
-    """
-    if not hasattr(os, "fork") or _thread._count():
-        return 1
-    return _cpu_count()
-
-
 def _per_date_checks(
     start_year: int, end_year: int, routes: bool, systems: bool
 ) -> tuple[_Recorder, _Recorder]:
@@ -140,7 +118,8 @@ def _per_date_checks(
     The systems walk the first 400 years, which hold every century class,
     year and month shape. Each span is cut into contiguous year shares,
     one per worker and each of at least ``MIN_SHARE_YEARS``, walked at
-    once and merged in date order, so the result is one walk's.
+    once by ``_shares`` and merged in date order, so the result is one
+    walk's.
     """
     _check_range(start_year, end_year)
     diff, anchored = _Recorder(), _Recorder()
@@ -150,102 +129,13 @@ def _per_date_checks(
         spans.append((cycle_end + 1, end_year, False))
     if systems:
         _anchor_system_structure(anchored)
-    workers = _worker_count()
     for first, last, span_systems in spans:
-        shares = max(1, min(workers, (last - first + 1) // MIN_SHARE_YEARS))
-        bounds = [first + (last - first + 1) * i // shares for i in range(shares + 1)]
-        walks = [(a, b - 1, routes, span_systems) for a, b in zip(bounds, bounds[1:])]
-        for states in _walk_shares(walks):
+        shares = _shares.split_years(first, last, MIN_SHARE_YEARS)
+        walks = [(a, b, routes, span_systems) for a, b in shares]
+        for states in _shares.run("verify", _walk, walks):
             for rec, state in zip((diff, anchored), states):
                 rec.merge(state)
     return diff, anchored
-
-
-def _walk_shares(shares: list[tuple]) -> list[list]:
-    """Run ``_walk(first, last, routes, systems)`` per share; return their states in order.
-
-    This process walks the first share; each other share runs in a forked
-    child, which sends the state back marshalled over a pipe, or the
-    exception it raised pickled. The first exception in share order is
-    raised here, and no child outlives the call. A share whose child
-    cannot be started is walked here.
-    """
-    children: list[tuple[int, int] | None] = []
-    reaped = set()
-    try:
-        for share in shares[1:]:
-            children.append(_fork_walk(share))
-        walked = [_walk(*shares[0])]
-        for share, child in zip(shares[1:], children):
-            if child is None:
-                walked.append(_walk(*share))
-                continue
-            pid, fd = child
-            data = b"".join(iter(lambda: os.read(fd, 1 << 16), b""))
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            reaped.add(pid)
-            worker = f"verify worker for years {share[0]}..{share[1]}"
-            if code < 0:
-                import signal
-
-                name = next((s.name for s in signal.Signals if s == -code), str(-code))
-                raise RuntimeError(f"{worker} killed by signal {name}")
-            if not data:
-                raise RuntimeError(f"{worker} sent no result")
-            if code:
-                import pickle
-
-                raise pickle.loads(data)
-            walked.append(marshal.loads(data))
-        return walked
-    finally:
-        for pid, fd in filter(None, children):
-            os.close(fd)
-            if pid not in reaped:
-                import signal
-
-                with contextlib.suppress(ProcessLookupError, ChildProcessError):
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-
-
-def _fork_walk(share: tuple) -> tuple[int, int] | None:
-    """Start ``_walk(*share)`` in a forked child; returns its pid and the read end of its pipe.
-
-    Returns ``None`` when no pipe or child can be had. The child exits 0
-    after sending the marshalled state, 1 after sending its exception
-    pickled. It never returns: it ends with ``os._exit``, so it flushes
-    none of the stdio buffers it inherited and runs none of its caller's
-    cleanup.
-    """
-    fds: tuple[int, ...] = ()
-    try:
-        fds = read_end, write_end = os.pipe()
-        pid = os.fork()
-    except OSError:
-        for fd in fds:
-            os.close(fd)
-        return None
-    if pid:
-        os.close(write_end)
-        return pid, read_end
-    code = 0
-    try:
-        os.close(read_end)
-        try:
-            payload = marshal.dumps(_walk(*share))
-        except BaseException as exc:  # raised again in the parent
-            import pickle
-
-            code = 1
-            try:
-                payload = pickle.dumps(exc)
-            except Exception:
-                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-        with open(write_end, "wb") as pipe:
-            pipe.write(payload)
-    finally:
-        os._exit(code)
 
 
 def differential_sweep(start_year: int, end_year: int) -> CheckResult:

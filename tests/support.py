@@ -1,8 +1,9 @@
-"""Shared hypothesis strategies and child-process setup for the test suite."""
+"""Shared hypothesis strategies, child-process setup and worker checks for the test suite."""
 
 import os
 from pathlib import Path
 
+import pytest
 from hypothesis import strategies as st
 
 from calamity.core import MAX_YEAR, MIN_YEAR, Date, month_length
@@ -28,3 +29,15 @@ def child_env():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     env.pop("PYTHONUNBUFFERED", None)
     return env
+
+
+def open_fds():
+    """This process's open file descriptors, or None where ``/proc`` does not list them."""
+    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def assert_nothing_left(fds_before):
+    """Every forked worker is reaped and every pipe closed, however the sweep ended."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert open_fds() == fds_before

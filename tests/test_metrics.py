@@ -2,11 +2,13 @@
 
 import datetime
 import hashlib
+import os
+import signal
 
 import pytest
 from hypothesis import given
 
-from calamity import metrics
+from calamity import _shares, metrics
 from calamity.conway import century_anchor, weekday_standard
 from calamity.core import CYCLE_YEARS, MAX_YEAR, MIN_YEAR, Date, iter_dates
 from calamity.doomyears import Doomyear, doomyear
@@ -20,7 +22,7 @@ from calamity.metrics import (
     trace_calamity,
     trace_standard,
 )
-from support import dates
+from support import assert_nothing_left, dates, open_fds
 
 STANDARD_KINDS = (
     OpKind.INT_DIVISION,
@@ -241,6 +243,8 @@ def traced_dates(monkeypatch):
 
     monkeypatch.setattr(metrics, "trace_standard", record("standard", std_events))
     monkeypatch.setattr(metrics, "trace_calamity", record("calamity", cal_events))
+    # A forked worker would record in its own memory.
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
     return seen
 
 
@@ -283,6 +287,85 @@ def test_compare_reports_first_signature_change(monkeypatch, trace, change):
     monkeypatch.setattr(metrics, trace, changed_at)
     with pytest.raises(RuntimeError, match="1700-03-01"):
         compare(1600, 2100)
+
+
+def test_a_short_range_forks_nothing(monkeypatch):
+    # Below two shares of MIN_SHARE_YEARS the window is traced here alone.
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a short range forked"))
+    for start, end in [(2000, 2005), (1990, 2010), (1583, 1583 + 2 * metrics.MIN_SHARE_YEARS - 2)]:
+        assert compare(start, end).dates_scanned == _days(start, end)
+
+
+def test_a_forked_trace_reports_what_one_trace_reports(monkeypatch, deadline):
+    # The standard peak, 123 in 2099, lies in the last share at 2 and 3 CPUs.
+    real, here = metrics.trace_standard, os.getpid()
+    calls_here = 0
+
+    def counting(date):
+        nonlocal calls_here
+        calls_here += os.getpid() == here
+        return real(date)
+
+    monkeypatch.setattr(metrics, "trace_standard", counting)
+    fds = open_fds()
+    reports, traced_here = {}, {}
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(_shares, "_cpu_count", lambda: cpus)
+        calls_here = 0
+        reports[cpus] = compare(2000, 2099)
+        traced_here[cpus] = calls_here
+    assert reports[3] == reports[2] == reports[1]
+    assert reports[1].standard.max_intermediate == 123
+    assert traced_here[3] < traced_here[2] < traced_here[1] == _days(2000, 2099)
+    assert_nothing_left(fds)
+
+
+@pytest.mark.parametrize(
+    "changed",
+    [Date(2200, 1, 1), Date(2300, 3, 1), Date(2100, 3, 1)],
+    ids=["first-date-of-share-1", "inside-share-1", "inside-share-0"],
+)
+def test_a_forked_trace_reports_the_signature_change_one_trace_reports(
+    monkeypatch, deadline, changed
+):
+    # At 2 CPUs, 2000..2399 is traced here to 2199 and in a worker from
+    # 2200; from ``changed`` on, every standard trace is one event short,
+    # so from 2100 both shares find a change and the first must win.
+    original = metrics.trace_standard
+
+    def shorter_from(date):
+        events = original(date)
+        return events[:-1] if date >= changed else events
+
+    monkeypatch.setattr(metrics, "trace_standard", shorter_from)
+    fds = open_fds()
+    errors = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(_shares, "_cpu_count", lambda: cpus)
+        with pytest.raises(RuntimeError) as raised:
+            compare(2000, 2399)
+        errors[cpus] = str(raised.value)
+    assert _shares.split_years(2000, 2399, metrics.MIN_SHARE_YEARS) == [(2000, 2199), (2200, 2399)]
+    assert errors[2] == errors[1] == f"operation signature changed at {changed}"
+    assert_nothing_left(fds)
+
+
+def test_a_killed_metrics_worker_names_its_sweep(monkeypatch, deadline):
+    real, here = metrics.trace_standard, os.getpid()
+
+    def dies_in_a_worker(date):
+        if os.getpid() != here:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(date)
+
+    monkeypatch.setattr(metrics, "trace_standard", dies_in_a_worker)
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
+    fds = open_fds()
+    with pytest.raises(RuntimeError) as raised:
+        compare(2000, 2399)
+    assert str(raised.value) == "metrics worker for years 2200..2399 killed by signal SIGKILL"
+    assert_nothing_left(fds)
 
 
 def test_compare_full_range_matches_default_range():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from calamity import conway, verify
+from calamity import _shares, conway, verify
 from calamity.conway import DOOMSDAY_DATES, doomsday_date
 from calamity.core import Date, Weekday, iter_dates, oracle_weekday
 from calamity.systems import (
@@ -247,7 +247,7 @@ def test_anchor_system_check_sweeps_only_the_first_400_years(monkeypatch):
 
     monkeypatch.setattr(verify, "iter_dates", record)
     # A forked worker would record in its own memory.
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
     verify.anchor_system_check(1600, 2100)
     verify.anchor_system_check(1990, 2010)
     assert swept == [(1600, 1999), (1990, 2010)]

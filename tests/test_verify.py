@@ -9,10 +9,10 @@ import threading
 
 import pytest
 
-from calamity import conway, method, systems, verify
+from calamity import _shares, conway, method, systems, verify
 from calamity.core import MAX_YEAR, MIN_YEAR, WEEKDAYS
 from calamity.verify import MAX_EXAMPLES, _Recorder, differential_sweep
-from support import child_env
+from support import assert_nothing_left, child_env, open_fds
 
 
 def test_differential_sweep_full_range():
@@ -59,7 +59,7 @@ def test_verify_range_walks_each_date_once(monkeypatch):
     monkeypatch.setattr(verify, "iter_dates", recording_iter_dates)
     monkeypatch.setattr(verify, "oracle_weekday", counting_oracle)
     # A forked worker would count in its own memory.
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
     summary = verify.verify_range(1600, 2100)
     assert summary.ok
     assert oracle_calls == summary.dates_tested == 182_987
@@ -83,29 +83,8 @@ def test_verify_catches_a_leap_rule_without_the_century_exception(monkeypatch):
     }
 
 
-def _open_fds():
-    return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
-
-
-@pytest.fixture
-def deadline():
-    """A walk that hangs fails the test after 60 s instead of hanging the suite."""
-
-    def expire(signum, frame):
-        raise TimeoutError("the walk took more than 60 s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(60)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
-
-
-def _assert_nothing_left(fds_before):
-    # Every worker is reaped and every pipe closed, however the walk ended.
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert _open_fds() == fds_before
+# From here on, the share engine (calamity._shares) driven through verify,
+# its first caller; tests/test_metrics.py drives it through compare.
 
 
 def test_each_span_gets_one_share_per_cpu_of_at_least_min_share_years(monkeypatch):
@@ -113,12 +92,13 @@ def test_each_span_gets_one_share_per_cpu_of_at_least_min_share_years(monkeypatc
     # first cycle, and only the checks that ask for them.
     cut = []
 
-    def record(walks):
+    def record(label, function, walks):
+        assert (label, function) == ("verify", verify._walk)
         cut.append(walks)
         return [[(0, 0, []), (0, 0, [])] for _ in walks]
 
-    monkeypatch.setattr(verify, "_walk_shares", record)
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(_shares, "run", record)
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 8)
     assert verify.MIN_SHARE_YEARS == 50
     verify.verify_range(1583, 1681)
     verify.verify_range(1583, 1682)
@@ -130,7 +110,7 @@ def test_each_span_gets_one_share_per_cpu_of_at_least_min_share_years(monkeypatc
         [(2000, 2000, True, False)],
     ]
     cut.clear()
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
     verify.verify_range(1583, 2599)
     verify.differential_sweep(1583, 2599)
     verify.anchor_system_check(1583, 2599)
@@ -144,20 +124,20 @@ def test_each_span_gets_one_share_per_cpu_of_at_least_min_share_years(monkeypatc
 
 
 def test_worker_count_follows_cpus_and_threads(monkeypatch):
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 8)
-    assert verify._worker_count() == 8
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 8)
+    assert _shares._worker_count() == 8
     # No fork while another thread runs.
     release = threading.Event()
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert verify._worker_count() == 1
+        assert _shares._worker_count() == 1
     finally:
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
-    assert verify._worker_count() == 1
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
+    assert _shares._worker_count() == 1
 
 
 def _late_weekday(real):
@@ -205,10 +185,10 @@ def test_a_forked_walk_reports_what_one_walk_reports(
         return faulty(*args)
 
     monkeypatch.setattr(module, route, late_on_the_13th)
-    fds = _open_fds()
+    fds = open_fds()
     results, walked_here = {}, {}
     for cpus in (1, 2):
-        monkeypatch.setattr(verify, "_cpu_count", lambda: cpus)
+        monkeypatch.setattr(_shares, "_cpu_count", lambda: cpus)
         calls_here = 0
         results[cpus] = sweep(2000, 2400)
         walked_here[cpus] = calls_here
@@ -217,13 +197,13 @@ def test_a_forked_walk_reports_what_one_walk_reports(
     assert (check.cases, check.failures) == (cases, failures)
     assert check.examples[-1] == last_example
     assert walked_here[2] < walked_here[1] == calls
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
 
 
 def test_a_forked_walk_that_succeeds_imports_neither_pickle_nor_signal():
     # A fresh interpreter: the test runner itself has both loaded.
     code = (
-        "import sys; from calamity import verify; verify._cpu_count = lambda: 2; "
+        "import sys; from calamity import _shares, verify; _shares._cpu_count = lambda: 2; "
         "assert verify.verify_range(2000, 2199).ok; "
         "print(sorted({'pickle', 'signal'} & set(sys.modules)))"
     )
@@ -245,13 +225,13 @@ def test_the_first_worker_error_in_date_order_is_raised_here(monkeypatch, deadli
         return real(date)
 
     monkeypatch.setattr(verify, "weekday_standard", refuses)
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 3)
-    fds = _open_fds()
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 3)
+    fds = open_fds()
     with pytest.raises(ValueError) as raised:
         verify.verify_range(2000, 2800)
     assert type(raised.value) is ValueError
     assert str(raised.value) == "no weekday for 2200-01-01"
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
 
 
 def test_a_worker_error_that_cannot_be_pickled_keeps_its_type_name_and_text(monkeypatch, deadline):
@@ -266,12 +246,12 @@ def test_a_worker_error_that_cannot_be_pickled_keeps_its_type_name_and_text(monk
         return real(date)
 
     monkeypatch.setattr(verify, "weekday_standard", refuses)
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
-    fds = _open_fds()
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
+    fds = open_fds()
     with pytest.raises(RuntimeError) as raised:
         verify.verify_range(2000, 2400)
     assert str(raised.value) == "LocalError: no weekday for 2300-01-01"
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
 
 
 def test_a_killed_worker_raises_runtime_error(monkeypatch, deadline):
@@ -283,12 +263,12 @@ def test_a_killed_worker_raises_runtime_error(monkeypatch, deadline):
         return real(date)
 
     monkeypatch.setattr(verify, "weekday_standard", dies_in_a_worker)
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
-    fds = _open_fds()
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
+    fds = open_fds()
     with pytest.raises(RuntimeError) as raised:
         verify.verify_range(2000, 2400)
     assert str(raised.value) == "verify worker for years 2200..2399 killed by signal SIGKILL"
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
 
 
 def test_a_worker_killed_by_a_signal_without_a_name_reports_its_number(monkeypatch, deadline):
@@ -301,12 +281,12 @@ def test_a_worker_killed_by_a_signal_without_a_name_reports_its_number(monkeypat
         return real(date)
 
     monkeypatch.setattr(verify, "weekday_standard", dies_in_a_worker)
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
-    fds = _open_fds()
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
+    fds = open_fds()
     with pytest.raises(RuntimeError) as raised:
         verify.verify_range(2000, 2400)
     assert str(raised.value) == f"verify worker for years 2200..2399 killed by signal {number}"
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
 
 
 def test_a_worker_that_exits_without_a_result_raises_runtime_error(monkeypatch, deadline):
@@ -318,12 +298,12 @@ def test_a_worker_that_exits_without_a_result_raises_runtime_error(monkeypatch, 
         return real(date)
 
     monkeypatch.setattr(verify, "weekday_standard", exits_in_a_worker)
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
-    fds = _open_fds()
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
+    fds = open_fds()
     with pytest.raises(RuntimeError) as raised:
         verify.verify_range(2000, 2400)
     assert str(raised.value) == "verify worker for years 2200..2399 sent no result"
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
 
 
 def test_an_interrupt_here_kills_every_worker(monkeypatch, deadline, tmp_path):
@@ -340,11 +320,11 @@ def test_an_interrupt_here_kills_every_worker(monkeypatch, deadline, tmp_path):
         return real(date)
 
     monkeypatch.setattr(verify, "weekday_standard", interrupted_here)
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
-    fds = _open_fds()
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
+    fds = open_fds()
     with pytest.raises(KeyboardInterrupt):
         verify.verify_range(2000, 2400)
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
     assert not mark.exists()
 
 
@@ -352,23 +332,23 @@ def test_an_interrupt_here_kills_every_worker(monkeypatch, deadline, tmp_path):
     "call, error", [("pipe", errno.EMFILE), ("fork", errno.EAGAIN)], ids=["pipe", "fork"]
 )
 def test_a_share_whose_fork_fails_is_walked_here(monkeypatch, deadline, call, error):
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
     alone = verify.verify_range(2000, 2400)
 
     def fails():
         raise OSError(error, os.strerror(error))
 
     monkeypatch.setattr(os, call, fails)
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 2)
-    fds = _open_fds()
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
+    fds = open_fds()
     assert verify.verify_range(2000, 2400) == alone
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
 
 
 def test_a_share_after_one_walked_here_is_still_merged(monkeypatch, deadline):
     # Of three shares, the second cannot fork and the third can: the
     # third's result must still be read and merged.
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 1)
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
     alone = verify.verify_range(2000, 2400)
     real_fork, forks = os.fork, []
 
@@ -379,8 +359,8 @@ def test_a_share_after_one_walked_here_is_still_merged(monkeypatch, deadline):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", first_fork_fails)
-    monkeypatch.setattr(verify, "_cpu_count", lambda: 3)
-    fds = _open_fds()
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 3)
+    fds = open_fds()
     assert verify.verify_range(2000, 2400) == alone
     assert forks == [0, 1]
-    _assert_nothing_left(fds)
+    assert_nothing_left(fds)
