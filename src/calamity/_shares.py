@@ -1,10 +1,10 @@
-"""Run one function over contiguous year shares of a sweep, one forked process per share.
+"""Run one function over a sweep's year range, cut into shares, one forked process per share.
 
 ``verify`` walks its range and ``metrics`` traces its cycle through this
-engine. It knows nothing about weekdays: it cuts a year range into
-shares and runs a given function over a list of argument tuples, each
-starting with the share's first and last year, and returns the
-functions' results in order.
+engine, one call per range. It knows nothing about weekdays: it cuts
+the years it is given into shares, runs the given function on each
+share's first and last year, and returns the functions' results in
+share order.
 """
 
 from __future__ import annotations
@@ -35,27 +35,24 @@ def _worker_count() -> int:
     return _cpu_count()
 
 
-def split_years(first: int, last: int, min_years: int) -> list[tuple[int, int]]:
-    """Cut ``first..last`` into contiguous ``(first, last)`` year shares.
+def run(
+    label: str, function: Callable[..., Any], first: int, last: int, min_years: int, *args: Any
+) -> list:
+    """Run ``function(a, b, *args)`` on each share ``a..b`` of ``first..last``; return the results.
 
-    One share per worker, each of at least ``min_years``: the sweep that
-    owns the range measures where a fork starts to pay.
+    The years are cut into contiguous shares, one per worker, each of at
+    least ``min_years`` unless there is only one: the sweep that owns the
+    range measures where a fork starts to pay. This process runs the
+    first share; each other share runs in a forked child, which sends
+    its result back marshalled over a pipe, or the exception it raised
+    pickled. The first exception in share order is raised here, and no
+    child outlives the call. A share whose child cannot be started is
+    run here. A child that fails without an exception is named by
+    ``label`` and its years.
     """
-    shares = max(1, min(_worker_count(), (last - first + 1) // min_years))
-    bounds = [first + (last - first + 1) * i // shares for i in range(shares + 1)]
-    return [(a, b - 1) for a, b in zip(bounds, bounds[1:])]
-
-
-def run(label: str, function: Callable[..., Any], shares: list[tuple]) -> list:
-    """Run ``function(*share)`` per share; return the results in share order.
-
-    This process runs the first share; each other share runs in a forked
-    child, which sends its result back marshalled over a pipe, or the
-    exception it raised pickled. The first exception in share order is
-    raised here, and no child outlives the call. A share whose child
-    cannot be started is run here. A child that fails without an
-    exception is named by ``label`` and its years, ``share[0]..share[1]``.
-    """
+    count = max(1, min(_worker_count(), (last - first + 1) // min_years))
+    bounds = [first + (last - first + 1) * i // count for i in range(count + 1)]
+    shares = [(a, b - 1, *args) for a, b in zip(bounds, bounds[1:])]
     children: list[tuple[int, int] | None] = []
     reaped = set()
     try:

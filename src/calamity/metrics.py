@@ -176,17 +176,17 @@ def _profile(events: Sequence[OpEvent], peak: int) -> MethodProfile:
 
 
 def _trace_share(
-    first: int, last: int, signatures: list[list[OpKind]], skip_first: bool
+    first: int, last: int, signatures: list[list[OpKind]], start_year: int
 ) -> tuple[list[int], str | None]:
     """Trace ``first..last``; returns both peaks and the first date off ``signatures``, or None.
 
     ``signatures`` are the kinds of the range's first date, which the
-    caller has traced already when ``skip_first`` is set. A share stops
-    at its first changed date: no later date can be reported.
+    caller traced already: the share that starts in ``start_year`` skips
+    it. A share stops at its first changed date: no later one is reported.
     """
     peaks = [0, 0]
     dates = iter_dates(first, last)
-    if skip_first:
+    if first == start_year:
         next(dates)
     for date in dates:
         traced = (trace_standard(date), trace_calamity(date))
@@ -212,11 +212,11 @@ def compare(start_year: int, end_year: int) -> ComparisonReport:
     the same first date. ``dates_scanned`` still counts every date in
     the range.
 
-    The window is traced in forked year shares, one per CPU and each of
-    at least ``MIN_SHARE_YEARS``. Each share checks every one of its
-    dates against the range's first date and reports the first that
-    differs; the first such date in date order is raised, so the report
-    and the error text are the ones a single sweep gives.
+    One ``_shares`` call traces the window in forked year shares, one per
+    CPU and each of at least ``MIN_SHARE_YEARS``. Each share checks its
+    dates against the range's first date, traced once here, and reports
+    the first that differs; the first such date in date order is raised,
+    so the report and the error text are the ones a single sweep gives.
     """
     _check_range(start_year, end_year)
     scanned = sum(366 if is_leap(y) else 365 for y in range(start_year, end_year + 1))
@@ -227,9 +227,9 @@ def compare(start_year: int, end_year: int) -> ComparisonReport:
     signatures = [[e.kind for e in events] for events in first]
     peaks = [max_intermediate(events) for events in first]
     window_end = min(end_year, start_year + CYCLE_YEARS - 1)
-    shares = _shares.split_years(start_year, window_end, MIN_SHARE_YEARS)
-    traces = [(a, b, signatures, a == start_year) for a, b in shares]
-    for share_peaks, changed in _shares.run("metrics", _trace_share, traces):
+    for share_peaks, changed in _shares.run(
+        "metrics", _trace_share, start_year, window_end, MIN_SHARE_YEARS, signatures, start_year
+    ):
         if changed is not None:
             raise RuntimeError(f"operation signature changed at {changed}")
         peaks = [max(pair) for pair in zip(peaks, share_peaks)]

@@ -71,6 +71,8 @@ class AnchorSystem:
 
 def system(k: int) -> AnchorSystem:
     """Canonical representative of equivalence class ``k``."""
+    if type(k) is not int:
+        raise TypeError(f"system index must be int, got {k!r}")
     if not 0 <= k <= 6:
         raise ValueError(f"system index {k} outside 0..6")
     codes = _MONTH_CODES[k][False]

@@ -116,10 +116,10 @@ def _per_date_checks(
     """Walk the range once; returns the differential and anchor-systems recorders.
 
     The systems walk the first 400 years, which hold every century class,
-    year and month shape. Each span is cut into contiguous year shares,
-    one per worker and each of at least ``MIN_SHARE_YEARS``, walked at
-    once by ``_shares`` and merged in date order, so the result is one
-    walk's.
+    year and month shape. ``_shares`` walks each span in contiguous year
+    shares at once, one per worker and each of at least
+    ``MIN_SHARE_YEARS``, and they are merged in date order, so the result
+    is one walk's.
     """
     _check_range(start_year, end_year)
     diff, anchored = _Recorder(), _Recorder()
@@ -130,9 +130,8 @@ def _per_date_checks(
     if systems:
         _anchor_system_structure(anchored)
     for first, last, span_systems in spans:
-        shares = _shares.split_years(first, last, MIN_SHARE_YEARS)
-        walks = [(a, b, routes, span_systems) for a, b in shares]
-        for states in _shares.run("verify", _walk, walks):
+        walked = _shares.run("verify", _walk, first, last, MIN_SHARE_YEARS, routes, span_systems)
+        for states in walked:
             for rec, state in zip((diff, anchored), states):
                 rec.merge(state)
     return diff, anchored

@@ -1,4 +1,4 @@
-"""Shared hypothesis strategies, child-process setup and worker checks for the test suite."""
+"""Hypothesis strategies, child-process setup, worker checks and engine probes for the tests."""
 
 import os
 from pathlib import Path
@@ -41,3 +41,19 @@ def assert_nothing_left(fds_before):
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
     assert open_fds() == fds_before
+
+
+def probe_share(first, last, act=None):
+    """An engine test's share: its years and its process, after ``act(first, last)`` if given."""
+    if act is not None:
+        act(first, last)
+    return [first, last, os.getpid()]
+
+
+def refuse(error):
+    """A stand-in for ``os.pipe`` or ``os.fork`` that fails with ``error``."""
+
+    def refused():
+        raise OSError(error, os.strerror(error))
+
+    return refused

@@ -1,6 +1,7 @@
 """Operation accounting for the two methods."""
 
 import datetime
+import errno
 import hashlib
 import os
 import signal
@@ -22,7 +23,7 @@ from calamity.metrics import (
     trace_calamity,
     trace_standard,
 )
-from support import assert_nothing_left, dates, open_fds
+from support import assert_nothing_left, dates, open_fds, refuse
 
 STANDARD_KINDS = (
     OpKind.INT_DIVISION,
@@ -346,9 +347,19 @@ def test_a_forked_trace_reports_the_signature_change_one_trace_reports(
         with pytest.raises(RuntimeError) as raised:
             compare(2000, 2399)
         errors[cpus] = str(raised.value)
-    assert _shares.split_years(2000, 2399, metrics.MIN_SHARE_YEARS) == [(2000, 2199), (2200, 2399)]
     assert errors[2] == errors[1] == f"operation signature changed at {changed}"
     assert_nothing_left(fds)
+    # The cut those errors cross, seen with os.fork refused so both shares run here.
+    cut = []
+
+    def record(first, last, *args):
+        cut.append((first, last))
+        return [0, 0], None
+
+    monkeypatch.setattr(metrics, "_trace_share", record)
+    monkeypatch.setattr(os, "fork", refuse(errno.EAGAIN))
+    compare(2000, 2399)
+    assert cut == [(2000, 2199), (2200, 2399)]
 
 
 def test_a_killed_metrics_worker_names_its_sweep(monkeypatch, deadline):

@@ -49,6 +49,16 @@ def test_system_rejects_out_of_range():
         system(7)
 
 
+@pytest.mark.parametrize("k", [True, 1.0, "1", None], ids=["bool", "float", "str", "None"])
+def test_system_takes_an_exact_int_as_classify_does(k):
+    # True would read as class 1, and 1.0 would fail on a tuple index.
+    with pytest.raises(TypeError) as raised:
+        system(k)
+    assert str(raised.value) == f"system index must be int, got {k!r}"
+    with pytest.raises(TypeError):
+        zero_month_count(k)
+
+
 def test_rotation_cycle():
     for i, value in enumerate(ROTATION):
         code = VectorCode(value // 10, value % 10)

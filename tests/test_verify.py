@@ -6,13 +6,14 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import pytest
 
 from calamity import _shares, conway, method, systems, verify
-from calamity.core import MAX_YEAR, MIN_YEAR, WEEKDAYS
+from calamity.core import CYCLE_YEARS, MAX_YEAR, MIN_YEAR, WEEKDAYS
 from calamity.verify import MAX_EXAMPLES, _Recorder, differential_sweep
-from support import assert_nothing_left, child_env, open_fds
+from support import assert_nothing_left, child_env, open_fds, probe_share, refuse
 
 
 def test_differential_sweep_full_range():
@@ -83,38 +84,45 @@ def test_verify_catches_a_leap_rule_without_the_century_exception(monkeypatch):
     }
 
 
-# From here on, the share engine (calamity._shares) driven through verify,
-# its first caller; tests/test_metrics.py drives it through compare.
+# How verify cuts its spans and walks them on the share engine
+# (calamity._shares); tests/test_metrics.py does the same for compare.
 
 
 def test_each_span_gets_one_share_per_cpu_of_at_least_min_share_years(monkeypatch):
     # A share is (first, last, routes, systems): the systems walk only the
-    # first cycle, and only the checks that ask for them.
-    cut = []
+    # first cycle, and only the checks that ask for them. With os.fork
+    # refused every share is walked here, in order, so the walks show the cut.
+    walks = []
 
-    def record(label, function, walks):
-        assert (label, function) == ("verify", verify._walk)
-        cut.append(walks)
-        return [[(0, 0, []), (0, 0, [])] for _ in walks]
+    def record(*walk):
+        walks.append(walk)
+        return [(0, 0, []), (0, 0, [])]
 
-    monkeypatch.setattr(_shares, "run", record)
+    def cut(sweep, start, end):
+        # The walks of each span: the first cycle from ``start``, then the rest.
+        walks.clear()
+        sweep(start, end)
+        spans = []
+        for walk in walks:
+            if walk[0] in (start, start + CYCLE_YEARS):
+                spans.append([])
+            spans[-1].append(walk)
+        return spans
+
+    monkeypatch.setattr(verify, "_walk", record)
+    monkeypatch.setattr(os, "fork", refuse(errno.EAGAIN))
     monkeypatch.setattr(_shares, "_cpu_count", lambda: 8)
     assert verify.MIN_SHARE_YEARS == 50
-    verify.verify_range(1583, 1681)
-    verify.verify_range(1583, 1682)
-    verify.verify_range(1600, 2000)
-    assert cut == [
+    ranges = [(1583, 1681), (1583, 1682), (1600, 2000)]
+    assert [span for start, end in ranges for span in cut(verify.verify_range, start, end)] == [
         [(1583, 1681, True, True)],
         [(1583, 1632, True, True), (1633, 1682, True, True)],
         [(year, year + 49, True, True) for year in range(1600, 2000, 50)],
         [(2000, 2000, True, False)],
     ]
-    cut.clear()
     monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
-    verify.verify_range(1583, 2599)
-    verify.differential_sweep(1583, 2599)
-    verify.anchor_system_check(1583, 2599)
-    assert cut == [
+    sweeps = [verify.verify_range, verify.differential_sweep, verify.anchor_system_check]
+    assert [span for sweep in sweeps for span in cut(sweep, 1583, 2599)] == [
         [(1583, 1782, True, True), (1783, 1982, True, True)],
         [(1983, 2290, True, False), (2291, 2599, True, False)],
         [(1583, 1782, True, False), (1783, 1982, True, False)],
@@ -138,6 +146,16 @@ def test_worker_count_follows_cpus_and_threads(monkeypatch):
     assert not thread.is_alive()
     monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
     assert _shares._worker_count() == 1
+
+
+def test_a_walk_where_there_is_no_fork_reports_what_a_forked_walk_reports(monkeypatch, deadline):
+    # Without os.fork no child can be started, so a second share would fail loudly.
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
+    forked = verify.verify_range(2000, 2099)
+    monkeypatch.delattr(os, "fork")
+    fds = open_fds()
+    assert verify.verify_range(2000, 2099) == forked
+    assert_nothing_left(fds)
 
 
 def _late_weekday(real):
@@ -200,61 +218,8 @@ def test_a_forked_walk_reports_what_one_walk_reports(
     assert_nothing_left(fds)
 
 
-def test_a_forked_walk_that_succeeds_imports_neither_pickle_nor_signal():
-    # A fresh interpreter: the test runner itself has both loaded.
-    code = (
-        "import sys; from calamity import _shares, verify; _shares._cpu_count = lambda: 2; "
-        "assert verify.verify_range(2000, 2199).ok; "
-        "print(sorted({'pickle', 'signal'} & set(sys.modules)))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
-    )
-    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
-
-
-def test_the_first_worker_error_in_date_order_is_raised_here(monkeypatch, deadline):
-    # Three shares per span; the second and third raise different errors.
-    real = verify.weekday_standard
-
-    def refuses(date):
-        if date.year == 2200:
-            raise ValueError(f"no weekday for {date}")
-        if date.year == 2300:
-            raise TypeError(f"no weekday either for {date}")
-        return real(date)
-
-    monkeypatch.setattr(verify, "weekday_standard", refuses)
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 3)
-    fds = open_fds()
-    with pytest.raises(ValueError) as raised:
-        verify.verify_range(2000, 2800)
-    assert type(raised.value) is ValueError
-    assert str(raised.value) == "no weekday for 2200-01-01"
-    assert_nothing_left(fds)
-
-
-def test_a_worker_error_that_cannot_be_pickled_keeps_its_type_name_and_text(monkeypatch, deadline):
-    class LocalError(Exception):
-        pass
-
-    real = verify.weekday_standard
-
-    def refuses(date):
-        if date.year == 2300:
-            raise LocalError(f"no weekday for {date}")
-        return real(date)
-
-    monkeypatch.setattr(verify, "weekday_standard", refuses)
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
-    fds = open_fds()
-    with pytest.raises(RuntimeError) as raised:
-        verify.verify_range(2000, 2400)
-    assert str(raised.value) == "LocalError: no weekday for 2300-01-01"
-    assert_nothing_left(fds)
-
-
 def test_a_killed_worker_raises_runtime_error(monkeypatch, deadline):
+    # A failed verify worker names its sweep and its years.
     real, here = verify.weekday_standard, os.getpid()
 
     def dies_in_a_worker(date):
@@ -271,59 +236,106 @@ def test_a_killed_worker_raises_runtime_error(monkeypatch, deadline):
     assert_nothing_left(fds)
 
 
-def test_a_worker_killed_by_a_signal_without_a_name_reports_its_number(monkeypatch, deadline):
-    # A real-time signal above SIGRTMIN is no member of signal.Signals.
-    real, here, number = verify.weekday_standard, os.getpid(), signal.SIGRTMIN + 1
+# The engine's own fault paths, driven with a probe share in place of a
+# walk; tests/test_shares.py holds the rest of the engine's tests.
 
-    def dies_in_a_worker(date):
-        if os.getpid() != here:
-            os.kill(os.getpid(), number)
-        return real(date)
 
-    monkeypatch.setattr(verify, "weekday_standard", dies_in_a_worker)
+def test_a_forked_walk_that_succeeds_imports_neither_pickle_nor_signal():
+    # A fresh interpreter: the test runner itself has both loaded.
+    code = (
+        "import os, sys; from calamity import _shares, metrics, verify; "
+        "_shares._cpu_count = lambda: 2; "
+        "shares = _shares.run('probe', lambda a, b: (a, b, os.getpid()), 2000, 2399, 100); "
+        "print([share[:2] for share in shares], shares[0][2] != shares[1][2], "
+        "sorted({'pickle', 'signal'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == "[(2000, 2199), (2200, 2399)] True []\n"
+
+
+def test_the_first_worker_error_in_date_order_is_raised_here(monkeypatch, deadline):
+    # Three shares; the second and third raise different errors.
+    def refuses(first, last):
+        if first == 2100:
+            raise ValueError(f"no result for years {first}..{last}")
+        if first == 2200:
+            raise TypeError(f"no result either for years {first}..{last}")
+
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 3)
+    fds = open_fds()
+    with pytest.raises(ValueError) as raised:
+        _shares.run("probe", probe_share, 2000, 2299, 100, refuses)
+    assert type(raised.value) is ValueError
+    assert str(raised.value) == "no result for years 2100..2199"
+    assert_nothing_left(fds)
+
+
+def test_a_worker_error_that_cannot_be_pickled_keeps_its_type_name_and_text(monkeypatch, deadline):
+    class LocalError(Exception):
+        pass
+
+    def refuses(first, last):
+        if first == 2200:
+            raise LocalError(f"no result for years {first}..{last}")
+
     monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
     fds = open_fds()
     with pytest.raises(RuntimeError) as raised:
-        verify.verify_range(2000, 2400)
-    assert str(raised.value) == f"verify worker for years 2200..2399 killed by signal {number}"
+        _shares.run("probe", probe_share, 2000, 2399, 100, refuses)
+    assert str(raised.value) == "LocalError: no result for years 2200..2399"
+    assert_nothing_left(fds)
+
+
+def test_a_worker_killed_by_a_signal_without_a_name_reports_its_number(monkeypatch, deadline):
+    # A real-time signal above SIGRTMIN is no member of signal.Signals.
+    here, number = os.getpid(), signal.SIGRTMIN + 1
+
+    def dies_in_a_worker(first, last):
+        if os.getpid() != here:
+            os.kill(os.getpid(), number)
+
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
+    fds = open_fds()
+    with pytest.raises(RuntimeError) as raised:
+        _shares.run("probe", probe_share, 2000, 2399, 100, dies_in_a_worker)
+    assert str(raised.value) == f"probe worker for years 2200..2399 killed by signal {number}"
     assert_nothing_left(fds)
 
 
 def test_a_worker_that_exits_without_a_result_raises_runtime_error(monkeypatch, deadline):
-    real, here = verify.weekday_standard, os.getpid()
+    here = os.getpid()
 
-    def exits_in_a_worker(date):
+    def exits_in_a_worker(first, last):
         if os.getpid() != here:
             os._exit(0)
-        return real(date)
 
-    monkeypatch.setattr(verify, "weekday_standard", exits_in_a_worker)
     monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
     fds = open_fds()
     with pytest.raises(RuntimeError) as raised:
-        verify.verify_range(2000, 2400)
-    assert str(raised.value) == "verify worker for years 2200..2399 sent no result"
+        _shares.run("probe", probe_share, 2000, 2399, 100, exits_in_a_worker)
+    assert str(raised.value) == "probe worker for years 2200..2399 sent no result"
     assert_nothing_left(fds)
 
 
 def test_an_interrupt_here_kills_every_worker(monkeypatch, deadline, tmp_path):
-    # The interrupt comes on this process's first date, long before the
-    # worker could reach the last date of its share and leave a mark.
-    real, here = verify.weekday_standard, os.getpid()
+    # The interrupt comes at once here; the worker would leave a mark only
+    # after ten seconds, long after it should have been killed.
+    here = os.getpid()
     mark = tmp_path / "worker-finished"
 
-    def interrupted_here(date):
+    def interrupted_here(first, last):
         if os.getpid() == here:
             raise KeyboardInterrupt
-        if (date.year, date.month, date.day) == (2399, 12, 31):
-            mark.touch()
-        return real(date)
+        time.sleep(10)
+        mark.touch()
 
-    monkeypatch.setattr(verify, "weekday_standard", interrupted_here)
     monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
     fds = open_fds()
     with pytest.raises(KeyboardInterrupt):
-        verify.verify_range(2000, 2400)
+        _shares.run("probe", probe_share, 2000, 2399, 100, interrupted_here)
     assert_nothing_left(fds)
     assert not mark.exists()
 
@@ -332,24 +344,20 @@ def test_an_interrupt_here_kills_every_worker(monkeypatch, deadline, tmp_path):
     "call, error", [("pipe", errno.EMFILE), ("fork", errno.EAGAIN)], ids=["pipe", "fork"]
 )
 def test_a_share_whose_fork_fails_is_walked_here(monkeypatch, deadline, call, error):
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
-    alone = verify.verify_range(2000, 2400)
-
-    def fails():
-        raise OSError(error, os.strerror(error))
-
-    monkeypatch.setattr(os, call, fails)
+    monkeypatch.setattr(os, call, refuse(error))
     monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
     fds = open_fds()
-    assert verify.verify_range(2000, 2400) == alone
+    here = os.getpid()
+    assert _shares.run("probe", probe_share, 2000, 2399, 100) == [
+        [2000, 2199, here],
+        [2200, 2399, here],
+    ]
     assert_nothing_left(fds)
 
 
 def test_a_share_after_one_walked_here_is_still_merged(monkeypatch, deadline):
     # Of three shares, the second cannot fork and the third can: the
-    # third's result must still be read and merged.
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
-    alone = verify.verify_range(2000, 2400)
+    # third's result must still be read and returned.
     real_fork, forks = os.fork, []
 
     def first_fork_fails():
@@ -361,6 +369,9 @@ def test_a_share_after_one_walked_here_is_still_merged(monkeypatch, deadline):
     monkeypatch.setattr(os, "fork", first_fork_fails)
     monkeypatch.setattr(_shares, "_cpu_count", lambda: 3)
     fds = open_fds()
-    assert verify.verify_range(2000, 2400) == alone
+    here = os.getpid()
+    results = _shares.run("probe", probe_share, 2000, 2299, 100)
+    assert [result[:2] for result in results] == [[2000, 2099], [2100, 2199], [2200, 2299]]
+    assert [result[2] == here for result in results] == [True, True, False]
     assert forks == [0, 1]
     assert_nothing_left(fds)
