@@ -18,6 +18,9 @@ MAX_YEAR = 9999
 
 #: Days per month in a common year.
 COMMON_MONTH_LENGTHS = (31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31)
+# Days per month by leap class, indexed by ``_is_leap(year)``: the one
+# place a leap year's February 29 is written.
+_MONTH_LENGTHS = (COMMON_MONTH_LENGTHS, (31, 29, *COMMON_MONTH_LENGTHS[2:]))
 
 # [0-9], not \d: \d also matches non-ASCII digits such as "١".
 _ISO_DATE = re.compile(r"([0-9]{4})-([0-9]{2})-([0-9]{2})")
@@ -81,10 +84,8 @@ def month_length(year: int, month: int) -> int:
     """Number of days in the given month of the given year."""
     if not 1 <= month <= 12:
         raise ValueError(f"month {month} outside 1..12")
-    if month == 2 and is_leap(year):
-        return 29
     _check_year(year)
-    return COMMON_MONTH_LENGTHS[month - 1]
+    return _MONTH_LENGTHS[_is_leap(year)][month - 1]
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -121,8 +122,7 @@ class Date:
 
 
 # Cumulative days before the first of each month, common and leap.
-_CUM_COMMON = tuple(sum(COMMON_MONTH_LENGTHS[:m]) for m in range(12))
-_CUM_LEAP = tuple(days + 1 if m >= 2 else days for m, days in enumerate(_CUM_COMMON))
+_CUM_COMMON, _CUM_LEAP = (tuple(sum(lengths[:m]) for m in range(12)) for lengths in _MONTH_LENGTHS)
 
 
 def _day_index(year: int, month: int, day: int) -> int:
@@ -155,10 +155,26 @@ def _check_range(start_year: int, end_year: int) -> None:
     _check_year(end_year)
 
 
+def _days_in_years(start_year: int, end_year: int) -> int:
+    """Days from Jan 1 of ``start_year`` through Dec 31 of ``end_year``, by the leap rule alone."""
+    return sum(366 if is_leap(year) else 365 for year in range(start_year, end_year + 1))
+
+
+# The walk's trusted builder: ``object.__new__`` and the slot setters,
+# past the frozen ``__init__`` and its checks, for fields the walk's own
+# loop bounds. ``verify``'s calendar check proves those bounds.
+_NEW = object.__new__
+_SET_YEAR, _SET_MONTH, _SET_DAY = Date.year.__set__, Date.month.__set__, Date.day.__set__
+
+
 def iter_dates(start_year: int, end_year: int) -> Iterator[Date]:
     """Every date from Jan 1 of ``start_year`` through Dec 31 of ``end_year``."""
     _check_range(start_year, end_year)
     for year in range(start_year, end_year + 1):
-        for month in range(1, 13):
-            for day in range(1, month_length(year, month) + 1):
-                yield Date(year, month, day)
+        for month, length in enumerate(_MONTH_LENGTHS[_is_leap(year)], start=1):
+            for day in range(1, length + 1):
+                date = _NEW(Date)
+                _SET_YEAR(date, year)
+                _SET_MONTH(date, month)
+                _SET_DAY(date, day)
+                yield date

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import _shares
 from .conway import _century_anchor, doomsday_date
-from .core import _FORWARD, CYCLE_YEARS, Date, _check_range, _is_leap, is_leap, iter_dates
+from .core import _FORWARD, CYCLE_YEARS, Date, _check_range, _days_in_years, _is_leap, iter_dates
 from .method import weekday_calamity_traced
 
 
@@ -219,7 +219,7 @@ def compare(start_year: int, end_year: int) -> ComparisonReport:
     so the report and the error text are the ones a single sweep gives.
     """
     _check_range(start_year, end_year)
-    scanned = sum(366 if is_leap(y) else 365 for y in range(start_year, end_year + 1))
+    scanned = _days_in_years(start_year, end_year)
 
     # Per method, in (standard, calamity) order.
     start = Date(start_year, 1, 1)

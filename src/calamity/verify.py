@@ -11,7 +11,14 @@ from dataclasses import dataclass
 
 from . import _shares
 from .conway import doomsday_date, weekday_standard, year_offset_arithmetic
-from .core import CYCLE_YEARS, _check_range, iter_dates, month_length, oracle_weekday
+from .core import (
+    CYCLE_YEARS,
+    _check_range,
+    _days_in_years,
+    iter_dates,
+    month_length,
+    oracle_weekday,
+)
 from .doomyears import MAX_DISTANCE, anchor_years, doomyear, nearest_anchor, year_offset_doomyear
 from .method import weekday_calamity, weekday_calamity_backward
 from .systems import classify, month_groupings, rotate_code, system, zero_month_count
@@ -87,14 +94,36 @@ class _Recorder:
         return CheckResult(name, self.cases, self.failures, tuple(self.examples))
 
 
-def _walk(first: int, last: int, routes: bool, systems: bool) -> list[tuple[int, int, list[str]]]:
-    """Check each date of ``first..last``; returns each side's ``(cases, failures, examples)``."""
-    diff, anchored = _Recorder(), _Recorder()
+#: Each weekday's successor, by the weekday's number.
+_NEXT_DAY = (*range(1, 7), 0)
+#: A calendar failure: a date, the date walked before it, its oracle
+#: weekday, and the one after the earlier date's.
+_STEP = "{} after {}: oracle={:d} expected={:d}"
+
+
+def _walk(first: int, last: int, routes: bool, systems: bool) -> list:
+    """Check each date of ``first..last``.
+
+    Returns the differential, anchor-systems and calendar sides'
+    ``(cases, failures, examples)``, then the walk's ends for the caller
+    to join to its neighbours': ``(first date, its oracle weekday, last
+    date, the weekday due after it)``, or None when no date was walked.
+    """
+    diff, anchored, calendar = _Recorder(), _Recorder(), _Recorder()
     checked = [system(k) for k in range(7)] if systems else []
     dates = 0
+    head = previous = None
+    following = -1  # no weekday: the first date starts the walk
     for date in iter_dates(first, last):
         dates += 1
         o = oracle_weekday(date)
+        if o != following:
+            if previous is None:
+                head, head_weekday = date, int(o)
+            else:
+                calendar.fail(_STEP, date, previous, o, following)
+        following = _NEXT_DAY[o]
+        previous = date
         if routes:
             s = weekday_standard(date)
             f = weekday_calamity(date)
@@ -107,34 +136,51 @@ def _walk(first: int, last: int, routes: bool, systems: bool) -> list[tuple[int,
                 anchored.fail("k={} {}: system weekday != oracle", sys_k.k, date)
     diff.cases = dates
     anchored.cases = len(checked) * dates
-    return [(rec.cases, rec.failures, rec.examples) for rec in (diff, anchored)]
+    calendar.cases = max(dates - 1, 0)
+    ends = None if head is None else (str(head), head_weekday, str(previous), following)
+    return [(rec.cases, rec.failures, rec.examples) for rec in (diff, anchored, calendar)] + [ends]
 
 
 def _per_date_checks(
     start_year: int, end_year: int, routes: bool, systems: bool
-) -> tuple[_Recorder, _Recorder]:
-    """Walk the range once; returns the differential and anchor-systems recorders.
+) -> tuple[_Recorder, _Recorder, _Recorder]:
+    """Walk the range once; returns the differential, anchor-systems and calendar recorders.
 
     The systems walk the first 400 years, which hold every century class,
     year and month shape. ``_shares`` walks each span in contiguous year
     shares at once, one per worker and each of at least
     ``MIN_SHARE_YEARS``, and they are merged in date order, so the result
-    is one walk's.
+    is one walk's. The calendar check joins each share to the one before
+    it, as one walk steps from day to day, and counts the dates walked
+    against the leap rule.
     """
     _check_range(start_year, end_year)
-    diff, anchored = _Recorder(), _Recorder()
+    diff, anchored, calendar = _Recorder(), _Recorder(), _Recorder()
     cycle_end = min(end_year, start_year + CYCLE_YEARS - 1)
     spans = [(start_year, cycle_end, systems)]
     if routes and cycle_end < end_year:
         spans.append((cycle_end + 1, end_year, False))
     if systems:
         _anchor_system_structure(anchored)
+    before = None  # the last date walked so far and the weekday due after it
     for first, last, span_systems in spans:
         walked = _shares.run("verify", _walk, first, last, MIN_SHARE_YEARS, routes, span_systems)
-        for states in walked:
-            for rec, state in zip((diff, anchored), states):
+        for *states, ends in walked:
+            if ends is not None:
+                head, weekday, tail, following = ends
+                if before is not None:
+                    previous, due = before
+                    calendar.case(weekday == due, _STEP, head, previous, weekday, due)
+                before = tail, following
+            for rec, state in zip((diff, anchored, calendar), states):
                 rec.merge(state)
-    return diff, anchored
+    walked_to = spans[-1][1]
+    expected = _days_in_years(start_year, walked_to)
+    calendar.case(
+        diff.cases == expected,
+        "{} dates walked in {}..{}, the leap rule gives {}", diff.cases, start_year, walked_to, expected,
+    )
+    return diff, anchored, calendar
 
 
 def differential_sweep(start_year: int, end_year: int) -> CheckResult:
@@ -250,8 +296,13 @@ def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
 
 
 def verify_range(start_year: int, end_year: int) -> VerificationSummary:
-    """Run every check over the year range; one walk feeds both per-date checks."""
-    diff, anchored = _per_date_checks(start_year, end_year, True, True)
+    """Run every check over the year range; one walk feeds the three per-date checks."""
+    diff, anchored, calendar = _per_date_checks(start_year, end_year, True, True)
     tables = (month_code_check(), square_knot_check(), year_table_check(), year_offset_check())
-    checks = (diff.result("differential"), *tables, anchored.result("anchor-systems"))
+    checks = (
+        diff.result("differential"),
+        *tables,
+        anchored.result("anchor-systems"),
+        calendar.result("calendar"),
+    )
     return VerificationSummary(start_year, end_year, diff.cases, checks)

@@ -1,8 +1,23 @@
 """Fixtures shared by the test modules."""
 
 import signal
+import warnings
 
 import pytest
+
+# On a failing example, hypothesis's pytest plugin imports
+# hypothesis.extra._patching, which imports libcst, whose import warns
+# (DeprecationWarning: mypy_extensions.TypedDict). Under
+# ``filterwarnings = ["error"]`` that warning, raised inside the plugin's
+# report hook, ended the session with an INTERNALERROR in place of the
+# failure's report. Importing it once here, with that warning ignored,
+# leaves the later import nothing to warn about.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 @pytest.fixture

@@ -285,6 +285,7 @@ SYSTEM_FAULT_TEXT = "\n".join([
     "  year-offset          176 cases  ok",
     "  anchor-systems      2751 cases  84 FAILED",
     *(f"    {example}" for example in SYSTEM_FAULT_EXAMPLES),
+    "  calendar             366 cases  ok",
     "dates tested: 366",
     "failures: 84",
 ]) + "\n"
@@ -317,6 +318,7 @@ def _verify_2000_json(differential, anchor_systems):
             ("year-table", 16, (0, [])),
             ("year-offset", 176, (0, [])),
             ("anchor-systems", 2751, anchor_systems),
+            ("calendar", 366, (0, [])),
         )
     ]
     payload = {
@@ -344,6 +346,7 @@ BOTH_FAULTS_TEXT = "\n".join([
     "  year-offset          176 cases  ok",
     "  anchor-systems      2751 cases  84 FAILED",
     *(f"    {example}" for example in SYSTEM_FAULT_EXAMPLES),
+    "  calendar             366 cases  ok",
     "dates tested: 366",
     "failures: 96",
 ]) + "\n"

@@ -1,12 +1,15 @@
 """Date validation, leap rules, and the day-counting oracle."""
 
 import datetime
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from calamity.core import (
     MAX_YEAR,
+    MIN_YEAR,
     Date,
     Direction,
     Weekday,
@@ -156,6 +159,27 @@ def test_iter_dates_is_ordered():
     assert seq == sorted(seq)
     assert seq[0] == Date(1999, 1, 1)
     assert seq[-1] == Date(2000, 12, 31)
+
+
+@given(st.integers(MIN_YEAR, MAX_YEAR), st.integers(0, 1))
+def test_iter_dates_builds_the_dates_datetime_counts(start, extra):
+    # The walk builds each date past Date's checks: it must yield every
+    # day of the range once, in order, each a Date like the public one.
+    end = min(start + extra, MAX_YEAR)
+    first, last = datetime.date(start, 1, 1).toordinal(), datetime.date(end, 12, 31).toordinal()
+    days = [datetime.date.fromordinal(n) for n in range(first, last + 1)]
+    walked = list(iter_dates(start, end))
+    assert [(d.year, d.month, d.day) for d in walked] == [(d.year, d.month, d.day) for d in days]
+    public = [Date(d.year, d.month, d.day) for d in days]
+    for date, same, after in zip(walked, public, public[1:] + [None]):
+        assert type(date) is Date
+        assert date == same and hash(date) == hash(same)
+        assert not date < same and not same < date and date <= same
+        if after is not None:
+            assert date < after and not after <= date
+        for field in ("year", "month", "day"):
+            with pytest.raises(FrozenInstanceError):
+                setattr(date, field, 1)
 
 
 def test_iter_dates_rejects_reversed_range():

@@ -10,8 +10,8 @@ import time
 
 import pytest
 
-from calamity import _shares, conway, method, systems, verify
-from calamity.core import CYCLE_YEARS, MAX_YEAR, MIN_YEAR, WEEKDAYS
+from calamity import _shares, cli, conway, method, systems, verify
+from calamity.core import CYCLE_YEARS, MAX_YEAR, MIN_YEAR, WEEKDAYS, Date, iter_dates
 from calamity.verify import MAX_EXAMPLES, _Recorder, differential_sweep
 from support import assert_nothing_left, child_env, open_fds, probe_share, refuse
 
@@ -84,6 +84,107 @@ def test_verify_catches_a_leap_rule_without_the_century_exception(monkeypatch):
     }
 
 
+# Faulty walks in place of core.iter_dates: the four routes agree on
+# whatever dates a walk yields, so only the calendar check can see these.
+# Each fault is applied once in a short walk in one process, and once in
+# 2000..2103, which two CPUs cut into 2000..2051 and 2052..2103, with the
+# fault on that boundary or in the forked share after it.
+
+
+def _unchecked(year, month, day):
+    """A date past Date's checks, as a faulty walk would build it."""
+    date = object.__new__(Date)
+    for name, value in zip(("year", "month", "day"), (year, month, day)):
+        object.__setattr__(date, name, value)
+    return date
+
+
+def _without(year, month, day):
+    missing = Date(year, month, day)
+    return lambda first, last: (date for date in iter_dates(first, last) if date != missing)
+
+
+def _with(year, month, day):
+    before, extra = Date(year, month, day - 1), _unchecked(year, month, day)
+
+    def walk(first, last):
+        for date in iter_dates(first, last):
+            yield date
+            if date == before:
+                yield extra
+
+    return walk
+
+
+#: Each fault's walk in 2000..2003, then in 2000..2103.
+CALENDAR_FAULTS = {
+    "dropped-day": (_without(2001, 6, 15), _without(2052, 1, 1)),
+    "february-29-in-a-common-year": (_with(2001, 2, 29), _with(2053, 2, 29)),
+    "february-30-in-a-leap-year": (_with(2000, 2, 30), _with(2052, 2, 30)),
+    "december-with-30-days": (_without(2001, 12, 31), _without(2051, 12, 31)),
+    "stops-one-year-early": (lambda first, last: iter_dates(first, last - 1),) * 2,
+    "runs-one-year-past-the-end": (lambda first, last: iter_dates(first, last + 1),) * 2,
+}
+
+#: Each fault's dates tested, calendar failures and first example in 2000..2003.
+ONE_WALK = {
+    "dropped-day": (1460, 2, "2001-06-16 after 2001-06-14: oracle=6 expected=5"),
+    "february-29-in-a-common-year": (1462, 2, "2001-03-01 after 2001-02-29: oracle=4 expected=5"),
+    "february-30-in-a-leap-year": (1462, 2, "2000-03-01 after 2000-02-30: oracle=3 expected=4"),
+    "december-with-30-days": (1460, 2, "2002-01-01 after 2001-12-30: oracle=2 expected=1"),
+    # A walk in one share has no neighbour: only the count sees it.
+    "stops-one-year-early": (1096, 1, "1096 dates walked in 2000..2003, the leap rule gives 1461"),
+    "runs-one-year-past-the-end": (
+        1827, 1, "1827 dates walked in 2000..2003, the leap rule gives 1461"
+    ),
+}
+
+#: Each fault's calendar failures and first example in 2000..2103 on two CPUs.
+FORKED = {
+    "dropped-day": (2, "2052-01-02 after 2051-12-31: oracle=2 expected=1"),
+    "february-29-in-a-common-year": (2, "2053-03-01 after 2053-02-29: oracle=6 expected=0"),
+    "february-30-in-a-leap-year": (2, "2052-03-01 after 2052-02-30: oracle=5 expected=6"),
+    "december-with-30-days": (2, "2052-01-01 after 2051-12-30: oracle=1 expected=0"),
+    # Each share's walk stops or overruns, so the two shares no longer meet.
+    "stops-one-year-early": (2, "2052-01-01 after 2050-12-31: oracle=1 expected=0"),
+    "runs-one-year-past-the-end": (2, "2052-01-01 after 2052-12-31: oracle=1 expected=3"),
+}
+
+
+def _calendar_failure(summary):
+    """The calendar check's failures and first example, when it alone fails."""
+    assert [check.name for check in summary.checks if not check.ok] == ["calendar"]
+    calendar = summary.checks[-1]
+    assert calendar.cases == summary.dates_tested
+    return calendar.failures, calendar.examples[0]
+
+
+@pytest.mark.parametrize("fault", ONE_WALK)
+def test_verify_fails_a_faulty_calendar_in_one_walk(monkeypatch, capsys, fault):
+    dates, failures, example = ONE_WALK[fault]
+    monkeypatch.setattr(verify, "iter_dates", CALENDAR_FAULTS[fault][0])
+    summary = verify.verify_range(2000, 2003)
+    assert summary.dates_tested == dates
+    assert _calendar_failure(summary) == (failures, example)
+    assert cli.main(["verify", "2000", "2003"]) == 1
+    assert f"    {example}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("fault", FORKED)
+def test_verify_fails_a_faulty_calendar_across_forked_shares(monkeypatch, deadline, fault):
+    # Forked children walk with the patch they inherit.
+    monkeypatch.setattr(verify, "iter_dates", CALENDAR_FAULTS[fault][1])
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
+    fds = open_fds()
+    forked = verify.verify_range(2000, 2103)
+    assert_nothing_left(fds)
+    assert _calendar_failure(forked) == FORKED[fault]
+    if fault not in ("stops-one-year-early", "runs-one-year-past-the-end"):
+        # A fault at fixed dates: one walk over the range finds the same.
+        monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
+        assert verify.verify_range(2000, 2103) == forked
+
+
 # How verify cuts its spans and walks them on the share engine
 # (calamity._shares); tests/test_metrics.py does the same for compare.
 
@@ -96,7 +197,7 @@ def test_each_span_gets_one_share_per_cpu_of_at_least_min_share_years(monkeypatc
 
     def record(*walk):
         walks.append(walk)
-        return [(0, 0, []), (0, 0, [])]
+        return [(0, 0, []), (0, 0, []), (0, 0, []), None]
 
     def cut(sweep, start, end):
         # The walks of each span: the first cycle from ``start``, then the rest.
