@@ -101,8 +101,8 @@ _NEXT_DAY = (*range(1, 7), 0)
 _STEP = "{} after {}: oracle={:d} expected={:d}"
 
 
-def _walk(first: int, last: int, routes: bool, systems: bool) -> list:
-    """Check each date of ``first..last``.
+def _walk(first: int, last: int, systems: bool) -> list:
+    """Check each date of ``first..last`` with the four routes, and the seven systems if asked.
 
     Returns the differential, anchor-systems and calendar sides'
     ``(cases, failures, examples)``, then the walk's ends for the caller
@@ -124,13 +124,12 @@ def _walk(first: int, last: int, routes: bool, systems: bool) -> list:
                 calendar.fail(_STEP, date, previous, o, following)
         following = _NEXT_DAY[o]
         previous = date
-        if routes:
-            s = weekday_standard(date)
-            f = weekday_calamity(date)
-            b = weekday_calamity_backward(date)
-            if not o == s == f == b:
-                template = "{}: oracle={:d} standard={:d} forward={:d} backward={:d}"
-                diff.fail(template, date, o, s, f, b)
+        s = weekday_standard(date)
+        f = weekday_calamity(date)
+        b = weekday_calamity_backward(date)
+        if not o == s == f == b:
+            template = "{}: oracle={:d} standard={:d} forward={:d} backward={:d}"
+            diff.fail(template, date, o, s, f, b)
         for sys_k in checked:
             if sys_k.weekday(date) != o:
                 anchored.fail("k={} {}: system weekday != oracle", sys_k.k, date)
@@ -141,54 +140,51 @@ def _walk(first: int, last: int, routes: bool, systems: bool) -> list:
     return [(rec.cases, rec.failures, rec.examples) for rec in (diff, anchored, calendar)] + [ends]
 
 
-def _per_date_checks(
-    start_year: int, end_year: int, routes: bool, systems: bool
-) -> tuple[_Recorder, _Recorder, _Recorder]:
+def _per_date_checks(start_year: int, end_year: int) -> tuple[_Recorder, _Recorder, _Recorder]:
     """Walk the range once; returns the differential, anchor-systems and calendar recorders.
 
-    The systems walk the first 400 years, which hold every century class,
-    year and month shape. ``_shares`` walks each span in contiguous year
-    shares at once, one per worker and each of at least
-    ``MIN_SHARE_YEARS``, and they are merged in date order, so the result
-    is one walk's. The calendar check joins each share to the one before
-    it, as one walk steps from day to day, and counts the dates walked
-    against the leap rule.
+    After the systems' structure cases, the first 400 years, which hold
+    every century class, year and month shape, are walked with the four
+    routes and the seven systems, the rest with the routes alone.
+    ``_shares`` walks each span in contiguous year shares at once, one
+    per worker and each of at least ``MIN_SHARE_YEARS``, merged in date
+    order, so the result is one walk's. The calendar check joins each
+    share to the one before it, as one walk steps from day to day, and
+    pins the walk's first date, last date and count to the range's.
     """
     _check_range(start_year, end_year)
     diff, anchored, calendar = _Recorder(), _Recorder(), _Recorder()
+    _anchor_system_structure(anchored)
     cycle_end = min(end_year, start_year + CYCLE_YEARS - 1)
-    spans = [(start_year, cycle_end, systems)]
-    if routes and cycle_end < end_year:
+    spans = [(start_year, cycle_end, True)]
+    if cycle_end < end_year:
         spans.append((cycle_end + 1, end_year, False))
-    if systems:
-        _anchor_system_structure(anchored)
-    before = None  # the last date walked so far and the weekday due after it
-    for first, last, span_systems in spans:
-        walked = _shares.run("verify", _walk, first, last, MIN_SHARE_YEARS, routes, span_systems)
-        for *states, ends in walked:
+    head = tail = due = None  # the first date walked, the last so far and the weekday due after it
+    for first, last, systems in spans:
+        for *states, ends in _shares.run("verify", _walk, first, last, MIN_SHARE_YEARS, systems):
             if ends is not None:
-                head, weekday, tail, following = ends
-                if before is not None:
-                    previous, due = before
-                    calendar.case(weekday == due, _STEP, head, previous, weekday, due)
-                before = tail, following
+                date, weekday, last_date, following = ends
+                if head is None:
+                    head = date
+                else:
+                    calendar.case(weekday == due, _STEP, date, tail, weekday, due)
+                tail, due = last_date, following
             for rec, state in zip((diff, anchored, calendar), states):
                 rec.merge(state)
-    walked_to = spans[-1][1]
-    expected = _days_in_years(start_year, walked_to)
-    calendar.case(
-        diff.cases == expected,
-        "{} dates walked in {}..{}, the leap rule gives {}", diff.cases, start_year, walked_to, expected,
-    )
+    walked = diff.cases, head, tail
+    expected = _days_in_years(start_year, end_year), f"{start_year}-01-01", f"{end_year}-12-31"
+    template = "{} dates walked, {}..{}; the leap rule gives {}, {}..{}"
+    calendar.case(walked == expected, template, *walked, *expected)
     return diff, anchored, calendar
 
 
 def differential_sweep(start_year: int, end_year: int) -> CheckResult:
-    """Oracle, arithmetic, and both table directions must agree on every date.
+    """The differential check of ``verify_range``'s walk: the four routes agree on every date.
 
-    Kept beside ``verify_range``'s joint walk for perfbench's per-layer timing and the tests.
+    Kept for perfbench's per-layer timing alone; the benchmark change
+    that replaces ``verify.differential_sweep_s`` deletes it.
     """
-    return _per_date_checks(start_year, end_year, True, False)[0].result("differential")
+    return _per_date_checks(start_year, end_year)[0].result("differential")
 
 
 def month_code_check() -> CheckResult:
@@ -288,16 +284,17 @@ def _anchor_system_structure(rec: _Recorder) -> None:
 
 
 def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
-    """Structure of all seven systems, plus agreement with the oracle over the first 400 years.
+    """The anchor-systems check of ``verify_range``'s walk: structure, and the first 400 years.
 
-    Kept beside ``verify_range``'s joint walk for perfbench's per-layer timing and the tests.
+    Kept for perfbench's per-layer timing alone; the benchmark change
+    that replaces ``verify.anchor_system_check_s`` deletes it.
     """
-    return _per_date_checks(start_year, end_year, False, True)[1].result("anchor-systems")
+    return _per_date_checks(start_year, end_year)[1].result("anchor-systems")
 
 
 def verify_range(start_year: int, end_year: int) -> VerificationSummary:
     """Run every check over the year range; one walk feeds the three per-date checks."""
-    diff, anchored, calendar = _per_date_checks(start_year, end_year, True, True)
+    diff, anchored, calendar = _per_date_checks(start_year, end_year)
     tables = (month_code_check(), square_knot_check(), year_table_check(), year_offset_check())
     checks = (
         diff.result("differential"),

@@ -1,4 +1,4 @@
-"""Hypothesis strategies, child-process setup, worker checks and engine probes for the tests."""
+"""Hypothesis strategies, check lookup, child-process setup, worker checks and engine probes."""
 
 import os
 from pathlib import Path
@@ -16,6 +16,12 @@ def dates(draw, min_year=MIN_YEAR, max_year=MAX_YEAR):
     month = draw(st.integers(1, 12))
     day = draw(st.integers(1, month_length(year, month)))
     return Date(year, month, day)
+
+
+def check(summary, name):
+    """The ``CheckResult`` named ``name`` in a ``VerificationSummary``."""
+    (result,) = (result for result in summary.checks if result.name == name)
+    return result
 
 
 def child_env():

@@ -7,7 +7,7 @@ from calamity import method, metrics, verify
 from calamity.conway import weekday_standard
 from calamity.core import CYCLE_YEARS, MIN_YEAR, Date, Direction, Weekday, iter_dates, oracle_weekday
 from calamity.method import AUTO, weekday_calamity, weekday_calamity_backward, weekday_calamity_traced
-from support import dates
+from support import check, dates
 
 
 def test_worked_examples():
@@ -75,12 +75,12 @@ def test_unknown_direction_is_rejected():
 
 def test_backward_route_runs_the_verified_square_knot(monkeypatch):
     # The square-knot check tests square_knot_backward; an off-by-one
-    # copy must reach the backward route and the differential sweep.
+    # copy must reach the backward route and the differential check.
     real = method.square_knot_backward
     monkeypatch.setattr(method, "square_knot_backward", lambda day, code: real(day, code) + 1)
     date = Date(2025, 12, 25)
     assert weekday_calamity_traced(date, Direction.BACKWARD)[0] != oracle_weekday(date)
-    assert verify.differential_sweep(2000, 2000).failures == 366
+    assert check(verify.verify_range(2000, 2000), "differential").failures == 366
 
 
 def test_traced_forward_answer_is_the_verified_one(monkeypatch):

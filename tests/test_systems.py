@@ -16,7 +16,7 @@ from calamity.systems import (
     zero_month_count,
 )
 from calamity.vector import VectorCode, code_vocabulary
-from support import dates
+from support import check, dates
 
 CONWAY_DATES = [(m, DOOMSDAY_DATES[m - 1]) for m in range(1, 13)]
 
@@ -249,17 +249,20 @@ def test_wang_anchor_dates_share_a_weekday():
 
 
 def test_anchor_system_check_sweeps_only_the_first_400_years(monkeypatch):
-    swept = []
+    # The walk runs the systems on the spans it is told to: the first cycle only.
+    swept, real_walk = [], verify._walk
 
-    def record(start_year, end_year):
-        swept.append((start_year, end_year))
-        return iter(())
+    def record(first, last, systems):
+        if systems:
+            swept.append((first, last))
+        return real_walk(first, last, systems)
 
-    monkeypatch.setattr(verify, "iter_dates", record)
+    monkeypatch.setattr(verify, "_walk", record)
+    monkeypatch.setattr(verify, "iter_dates", lambda start_year, end_year: iter(()))
     # A forked worker would record in its own memory.
     monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
-    verify.anchor_system_check(1600, 2100)
-    verify.anchor_system_check(1990, 2010)
+    verify.verify_range(1600, 2100)
+    verify.verify_range(1990, 2010)
     assert swept == [(1600, 1999), (1990, 2010)]
 
 
@@ -267,29 +270,26 @@ def test_anchor_system_check_sweeps_only_the_first_400_years(monkeypatch):
 def test_anchor_system_check_rejects_an_unsupported_year_before_any_check(
     monkeypatch, start, end, bad
 ):
-    # The sweep stops one cycle in, so it would never reach a bad end year.
-    with pytest.raises(ValueError) as swept:
-        verify.differential_sweep(start, end)
+    # The systems stop one cycle in, so they would never reach a bad end year.
     monkeypatch.setattr(verify, "system", lambda k: pytest.fail("a check ran"))
     with pytest.raises(ValueError) as checked:
-        verify.anchor_system_check(start, end)
-    message = f"year {bad} outside supported range 1583..9999"
-    assert str(checked.value) == str(swept.value) == message
+        verify.verify_range(start, end)
+    assert str(checked.value) == f"year {bad} outside supported range 1583..9999"
 
 
 def test_anchor_system_check_catches_a_misgrouped_month(monkeypatch):
-    assert verify.anchor_system_check(2000, 2000).ok is True
+    assert check(verify.verify_range(2000, 2000), "anchor-systems").ok is True
     grouping = month_groupings()
     moved = {**grouping, 0: grouping[0] - {2}, 1: grouping[1] | {2}}
     monkeypatch.setattr(verify, "month_groupings", lambda: moved)
-    result = verify.anchor_system_check(2000, 2000)
+    result = check(verify.verify_range(2000, 2000), "anchor-systems")
     assert (result.cases, result.failures, result.ok) == (2751, 2, False)
     assert result.examples == ("k=0: zero-month count 3", "k=6: zero-month count 1")
     # Swapping month 2 (residue 0) with month 8 (residue 1) keeps every
     # group's size: only the sets of zero months tell.
     swapped = {**grouping, 0: grouping[0] - {2} | {8}, 1: grouping[1] - {8} | {2}}
     monkeypatch.setattr(verify, "month_groupings", lambda: swapped)
-    result = verify.anchor_system_check(2000, 2000)
+    result = check(verify.verify_range(2000, 2000), "anchor-systems")
     assert (result.cases, result.failures, result.ok) == (2751, 2, False)
     assert result.examples == ("k=0: zero-month count 3", "k=6: zero-month count 1")
 
@@ -326,6 +326,6 @@ def test_anchor_system_check_catches_a_non_optimal_system(
     monkeypatch, name, fake, failures, examples
 ):
     monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
-    result = verify.anchor_system_check(2000, 2000)
+    result = check(verify.verify_range(2000, 2000), "anchor-systems")
     assert (result.cases, result.failures) == (2751, failures)
     assert result.examples == examples

@@ -3,22 +3,18 @@
 import errno
 import os
 import signal
-import subprocess
-import sys
-import threading
-import time
 
 import pytest
 
 from calamity import _shares, cli, conway, method, systems, verify
 from calamity.core import CYCLE_YEARS, MAX_YEAR, MIN_YEAR, WEEKDAYS, Date, iter_dates
-from calamity.verify import MAX_EXAMPLES, _Recorder, differential_sweep
-from support import assert_nothing_left, child_env, open_fds, probe_share, refuse
+from calamity.verify import MAX_EXAMPLES, _Recorder
+from support import assert_nothing_left, check, open_fds, refuse
 
 
 def test_differential_sweep_full_range():
     # Every date from 1583-01-01 through 9999-12-31 through all four routes.
-    result = differential_sweep(MIN_YEAR, MAX_YEAR)
+    result = check(verify.verify_range(MIN_YEAR, MAX_YEAR), "differential")
     assert result.cases == 3_074_246
     assert result.failures == 0
     assert result.examples == ()
@@ -88,7 +84,8 @@ def test_verify_catches_a_leap_rule_without_the_century_exception(monkeypatch):
 # whatever dates a walk yields, so only the calendar check can see these.
 # Each fault is applied once in a short walk in one process, and once in
 # 2000..2103, which two CPUs cut into 2000..2051 and 2052..2103, with the
-# fault on that boundary or in the forked share after it.
+# fault on that boundary or in the forked share after it. One more sits
+# where the first cycle's span meets the rest.
 
 
 def _unchecked(year, month, day):
@@ -124,7 +121,11 @@ CALENDAR_FAULTS = {
     "december-with-30-days": (_without(2001, 12, 31), _without(2051, 12, 31)),
     "stops-one-year-early": (lambda first, last: iter_dates(first, last - 1),) * 2,
     "runs-one-year-past-the-end": (lambda first, last: iter_dates(first, last + 1),) * 2,
+    "shifted-one-year": (lambda first, last: iter_dates(first + 1, last + 1),) * 2,
 }
+
+#: What the calendar check expects of 2000..2003.
+GIVES = "the leap rule gives 1461, 2000-01-01..2003-12-31"
 
 #: Each fault's dates tested, calendar failures and first example in 2000..2003.
 ONE_WALK = {
@@ -132,11 +133,11 @@ ONE_WALK = {
     "february-29-in-a-common-year": (1462, 2, "2001-03-01 after 2001-02-29: oracle=4 expected=5"),
     "february-30-in-a-leap-year": (1462, 2, "2000-03-01 after 2000-02-30: oracle=3 expected=4"),
     "december-with-30-days": (1460, 2, "2002-01-01 after 2001-12-30: oracle=2 expected=1"),
-    # A walk in one share has no neighbour: only the count sees it.
-    "stops-one-year-early": (1096, 1, "1096 dates walked in 2000..2003, the leap rule gives 1461"),
-    "runs-one-year-past-the-end": (
-        1827, 1, "1827 dates walked in 2000..2003, the leap rule gives 1461"
-    ),
+    # A walk in one share has no neighbour: only its count and ends see it.
+    "stops-one-year-early": (1096, 1, f"1096 dates walked, 2000-01-01..2002-12-31; {GIVES}"),
+    "runs-one-year-past-the-end": (1827, 1, f"1827 dates walked, 2000-01-01..2004-12-31; {GIVES}"),
+    # 2001..2004 holds as many days as 2000..2003: only the ends see it.
+    "shifted-one-year": (1461, 1, f"1461 dates walked, 2001-01-01..2004-12-31; {GIVES}"),
 }
 
 #: Each fault's calendar failures and first example in 2000..2103 on two CPUs.
@@ -148,6 +149,11 @@ FORKED = {
     # Each share's walk stops or overruns, so the two shares no longer meet.
     "stops-one-year-early": (2, "2052-01-01 after 2050-12-31: oracle=1 expected=0"),
     "runs-one-year-past-the-end": (2, "2052-01-01 after 2052-12-31: oracle=1 expected=3"),
+    # Both shares shift alike, so they still meet: only the ends see it.
+    "shifted-one-year": (
+        1, "37985 dates walked, 2001-01-01..2104-12-31; "
+        "the leap rule gives 37985, 2000-01-01..2103-12-31",
+    ),
 }
 
 
@@ -171,18 +177,38 @@ def test_verify_fails_a_faulty_calendar_in_one_walk(monkeypatch, capsys, fault):
 
 
 @pytest.mark.parametrize("fault", FORKED)
-def test_verify_fails_a_faulty_calendar_across_forked_shares(monkeypatch, deadline, fault):
+def test_verify_fails_a_faulty_calendar_across_forked_shares(
+    monkeypatch, capsys, deadline, fault
+):
     # Forked children walk with the patch they inherit.
     monkeypatch.setattr(verify, "iter_dates", CALENDAR_FAULTS[fault][1])
     monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
     fds = open_fds()
     forked = verify.verify_range(2000, 2103)
     assert_nothing_left(fds)
-    assert _calendar_failure(forked) == FORKED[fault]
+    failures, example = FORKED[fault]
+    assert _calendar_failure(forked) == (failures, example)
+    assert cli.main(["verify", "2000", "2103"]) == 1
+    assert f"    {example}\n" in capsys.readouterr().out
     if fault not in ("stops-one-year-early", "runs-one-year-past-the-end"):
-        # A fault at fixed dates: one walk over the range finds the same.
+        # A fault that does not move with the cut: one walk over the range finds the same.
         monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
         assert verify.verify_range(2000, 2103) == forked
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_verify_fails_a_day_dropped_where_the_first_cycle_meets_the_rest(
+    monkeypatch, deadline, cpus
+):
+    # 2000..2399 is walked with the systems, 2400..2449 without them as a
+    # span of its own: the calendar check joins the spans as it joins shares.
+    monkeypatch.setattr(verify, "iter_dates", _without(2400, 1, 1))
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: cpus)
+    fds = open_fds()
+    summary = verify.verify_range(2000, 2449)
+    assert_nothing_left(fds)
+    assert summary.dates_tested == 164_359
+    assert _calendar_failure(summary) == (2, "2400-01-02 after 2399-12-31: oracle=0 expected=6")
 
 
 # How verify cuts its spans and walks them on the share engine
@@ -190,19 +216,19 @@ def test_verify_fails_a_faulty_calendar_across_forked_shares(monkeypatch, deadli
 
 
 def test_each_span_gets_one_share_per_cpu_of_at_least_min_share_years(monkeypatch):
-    # A share is (first, last, routes, systems): the systems walk only the
-    # first cycle, and only the checks that ask for them. With os.fork
-    # refused every share is walked here, in order, so the walks show the cut.
+    # A share is (first, last, systems): the systems walk only the first
+    # cycle. With os.fork refused every share is walked here, in order, so
+    # the walks show the cut.
     walks = []
 
     def record(*walk):
         walks.append(walk)
         return [(0, 0, []), (0, 0, []), (0, 0, []), None]
 
-    def cut(sweep, start, end):
+    def cut(start, end):
         # The walks of each span: the first cycle from ``start``, then the rest.
         walks.clear()
-        sweep(start, end)
+        verify.verify_range(start, end)
         spans = []
         for walk in walks:
             if walk[0] in (start, start + CYCLE_YEARS):
@@ -215,38 +241,17 @@ def test_each_span_gets_one_share_per_cpu_of_at_least_min_share_years(monkeypatc
     monkeypatch.setattr(_shares, "_cpu_count", lambda: 8)
     assert verify.MIN_SHARE_YEARS == 50
     ranges = [(1583, 1681), (1583, 1682), (1600, 2000)]
-    assert [span for start, end in ranges for span in cut(verify.verify_range, start, end)] == [
-        [(1583, 1681, True, True)],
-        [(1583, 1632, True, True), (1633, 1682, True, True)],
-        [(year, year + 49, True, True) for year in range(1600, 2000, 50)],
-        [(2000, 2000, True, False)],
+    assert [span for start, end in ranges for span in cut(start, end)] == [
+        [(1583, 1681, True)],
+        [(1583, 1632, True), (1633, 1682, True)],
+        [(year, year + 49, True) for year in range(1600, 2000, 50)],
+        [(2000, 2000, False)],
     ]
     monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
-    sweeps = [verify.verify_range, verify.differential_sweep, verify.anchor_system_check]
-    assert [span for sweep in sweeps for span in cut(sweep, 1583, 2599)] == [
-        [(1583, 1782, True, True), (1783, 1982, True, True)],
-        [(1983, 2290, True, False), (2291, 2599, True, False)],
-        [(1583, 1782, True, False), (1783, 1982, True, False)],
-        [(1983, 2290, True, False), (2291, 2599, True, False)],
-        [(1583, 1782, False, True), (1783, 1982, False, True)],
+    assert cut(1583, 2599) == [
+        [(1583, 1782, True), (1783, 1982, True)],
+        [(1983, 2290, False), (2291, 2599, False)],
     ]
-
-
-def test_worker_count_follows_cpus_and_threads(monkeypatch):
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 8)
-    assert _shares._worker_count() == 8
-    # No fork while another thread runs.
-    release = threading.Event()
-    thread = threading.Thread(target=release.wait)
-    thread.start()
-    try:
-        assert _shares._worker_count() == 1
-    finally:
-        release.set()
-        thread.join(timeout=10)
-    assert not thread.is_alive()
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 1)
-    assert _shares._worker_count() == 1
 
 
 def test_a_walk_where_there_is_no_fork_reports_what_a_forked_walk_reports(monkeypatch, deadline):
@@ -268,29 +273,24 @@ def _late_knot(real):
 
 
 @pytest.mark.parametrize(
-    "sweep, module, route, late, cases, failures, last_example, calls",
+    "name, module, route, late, cases, failures, last_example, calls",
     [
         pytest.param(
-            verify.verify_range, verify, "weekday_calamity", _late_weekday,
+            "differential", verify, "weekday_calamity", _late_weekday,
             146_463, 401 * 12, "2000-05-13: oracle=6 standard=6 forward=0 backward=6",
-            146_463, id="verify_range",
+            146_463, id="differential",
         ),
+        # The systems walk 2000..2399, in two shares at 2 CPUs, after 27
+        # structure cases per system.
         pytest.param(
-            verify.differential_sweep, verify, "weekday_calamity", _late_weekday,
-            146_463, 401 * 12, "2000-05-13: oracle=6 standard=6 forward=0 backward=6",
-            146_463, id="differential_sweep",
-        ),
-        # The systems walk 2000..2399 alone, in two shares at 2 CPUs, after
-        # 27 structure cases per system.
-        pytest.param(
-            verify.anchor_system_check, systems, "square_knot_forward", _late_knot,
+            "anchor-systems", systems, "square_knot_forward", _late_knot,
             7 * 27 + 7 * 146_097, 7 * 400 * 12, "k=4 2000-01-13: system weekday != oracle",
-            7 * 146_097, id="anchor_system_check",
+            7 * 146_097, id="anchor-systems",
         ),
     ],
 )
 def test_a_forked_walk_reports_what_one_walk_reports(
-    monkeypatch, deadline, sweep, module, route, late, cases, failures, last_example, calls
+    monkeypatch, deadline, name, module, route, late, cases, failures, last_example, calls
 ):
     # The route runs a day late on every 13th: twelve failures a year, far
     # more than MAX_EXAMPLES in each share of 2000..2400, so the examples
@@ -309,12 +309,12 @@ def test_a_forked_walk_reports_what_one_walk_reports(
     for cpus in (1, 2):
         monkeypatch.setattr(_shares, "_cpu_count", lambda: cpus)
         calls_here = 0
-        results[cpus] = sweep(2000, 2400)
+        results[cpus] = verify.verify_range(2000, 2400)
         walked_here[cpus] = calls_here
     assert results[2] == results[1]
-    check = results[1].checks[0] if sweep is verify.verify_range else results[1]
-    assert (check.cases, check.failures) == (cases, failures)
-    assert check.examples[-1] == last_example
+    result = check(results[1], name)
+    assert (result.cases, result.failures) == (cases, failures)
+    assert result.examples[-1] == last_example
     assert walked_here[2] < walked_here[1] == calls
     assert_nothing_left(fds)
 
@@ -337,142 +337,17 @@ def test_a_killed_worker_raises_runtime_error(monkeypatch, deadline):
     assert_nothing_left(fds)
 
 
-# The engine's own fault paths, driven with a probe share in place of a
-# walk; tests/test_shares.py holds the rest of the engine's tests.
-
-
-def test_a_forked_walk_that_succeeds_imports_neither_pickle_nor_signal():
-    # A fresh interpreter: the test runner itself has both loaded.
-    code = (
-        "import os, sys; from calamity import _shares, metrics, verify; "
-        "_shares._cpu_count = lambda: 2; "
-        "shares = _shares.run('probe', lambda a, b: (a, b, os.getpid()), 2000, 2399, 100); "
-        "print([share[:2] for share in shares], shares[0][2] != shares[1][2], "
-        "sorted({'pickle', 'signal'} & set(sys.modules)))"
-    )
-    done = subprocess.run(
-        [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True, timeout=60
-    )
-    assert (done.returncode, done.stderr) == (0, "")
-    assert done.stdout == "[(2000, 2199), (2200, 2399)] True []\n"
-
-
-def test_the_first_worker_error_in_date_order_is_raised_here(monkeypatch, deadline):
-    # Three shares; the second and third raise different errors.
-    def refuses(first, last):
-        if first == 2100:
-            raise ValueError(f"no result for years {first}..{last}")
-        if first == 2200:
-            raise TypeError(f"no result either for years {first}..{last}")
-
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 3)
-    fds = open_fds()
-    with pytest.raises(ValueError) as raised:
-        _shares.run("probe", probe_share, 2000, 2299, 100, refuses)
-    assert type(raised.value) is ValueError
-    assert str(raised.value) == "no result for years 2100..2199"
-    assert_nothing_left(fds)
-
-
-def test_a_worker_error_that_cannot_be_pickled_keeps_its_type_name_and_text(monkeypatch, deadline):
-    class LocalError(Exception):
-        pass
-
-    def refuses(first, last):
-        if first == 2200:
-            raise LocalError(f"no result for years {first}..{last}")
-
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
-    fds = open_fds()
-    with pytest.raises(RuntimeError) as raised:
-        _shares.run("probe", probe_share, 2000, 2399, 100, refuses)
-    assert str(raised.value) == "LocalError: no result for years 2200..2399"
-    assert_nothing_left(fds)
-
-
-def test_a_worker_killed_by_a_signal_without_a_name_reports_its_number(monkeypatch, deadline):
-    # A real-time signal above SIGRTMIN is no member of signal.Signals.
-    here, number = os.getpid(), signal.SIGRTMIN + 1
-
-    def dies_in_a_worker(first, last):
-        if os.getpid() != here:
-            os.kill(os.getpid(), number)
-
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
-    fds = open_fds()
-    with pytest.raises(RuntimeError) as raised:
-        _shares.run("probe", probe_share, 2000, 2399, 100, dies_in_a_worker)
-    assert str(raised.value) == f"probe worker for years 2200..2399 killed by signal {number}"
-    assert_nothing_left(fds)
-
-
-def test_a_worker_that_exits_without_a_result_raises_runtime_error(monkeypatch, deadline):
-    here = os.getpid()
-
-    def exits_in_a_worker(first, last):
-        if os.getpid() != here:
-            os._exit(0)
-
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
-    fds = open_fds()
-    with pytest.raises(RuntimeError) as raised:
-        _shares.run("probe", probe_share, 2000, 2399, 100, exits_in_a_worker)
-    assert str(raised.value) == "probe worker for years 2200..2399 sent no result"
-    assert_nothing_left(fds)
-
-
-def test_an_interrupt_here_kills_every_worker(monkeypatch, deadline, tmp_path):
-    # The interrupt comes at once here; the worker would leave a mark only
-    # after ten seconds, long after it should have been killed.
-    here = os.getpid()
-    mark = tmp_path / "worker-finished"
-
-    def interrupted_here(first, last):
-        if os.getpid() == here:
-            raise KeyboardInterrupt
-        time.sleep(10)
-        mark.touch()
-
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
-    fds = open_fds()
-    with pytest.raises(KeyboardInterrupt):
-        _shares.run("probe", probe_share, 2000, 2399, 100, interrupted_here)
-    assert_nothing_left(fds)
-    assert not mark.exists()
-
-
-@pytest.mark.parametrize(
-    "call, error", [("pipe", errno.EMFILE), ("fork", errno.EAGAIN)], ids=["pipe", "fork"]
-)
-def test_a_share_whose_fork_fails_is_walked_here(monkeypatch, deadline, call, error):
-    monkeypatch.setattr(os, call, refuse(error))
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
-    fds = open_fds()
-    here = os.getpid()
-    assert _shares.run("probe", probe_share, 2000, 2399, 100) == [
-        [2000, 2199, here],
-        [2200, 2399, here],
-    ]
-    assert_nothing_left(fds)
-
-
-def test_a_share_after_one_walked_here_is_still_merged(monkeypatch, deadline):
-    # Of three shares, the second cannot fork and the third can: the
-    # third's result must still be read and returned.
-    real_fork, forks = os.fork, []
-
-    def first_fork_fails():
-        forks.append(len(forks))
-        if len(forks) == 1:
-            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", first_fork_fails)
-    monkeypatch.setattr(_shares, "_cpu_count", lambda: 3)
-    fds = open_fds()
-    here = os.getpid()
-    results = _shares.run("probe", probe_share, 2000, 2299, 100)
-    assert [result[:2] for result in results] == [[2000, 2099], [2100, 2199], [2200, 2299]]
-    assert [result[2] == here for result in results] == [True, True, False]
-    assert forks == [0, 1]
-    assert_nothing_left(fds)
+def test_the_timing_hooks_read_their_checks_from_verify_range(monkeypatch, deadline):
+    # perfbench times differential_sweep and anchor_system_check on their
+    # own; each must be the check of its name in verify_range's report.
+    for start, end in ((2000, 2000), (2000, 2400)):
+        summary = verify.verify_range(start, end)
+        assert verify.differential_sweep(start, end) == check(summary, "differential")
+        assert verify.anchor_system_check(start, end) == check(summary, "anchor-systems")
+    monkeypatch.setattr(verify, "system", lambda k: pytest.fail("a check ran"))
+    monkeypatch.setattr(verify, "iter_dates", lambda *years: pytest.fail("a check ran"))
+    for hook in (verify.differential_sweep, verify.anchor_system_check):
+        for start, end, bad in ((1582, 2000, 1582), (1583, 10000, 10000)):
+            with pytest.raises(ValueError) as raised:
+                hook(start, end)
+            assert str(raised.value) == f"year {bad} outside supported range 1583..9999"
