@@ -273,24 +273,29 @@ def _late_knot(real):
 
 
 @pytest.mark.parametrize(
-    "name, module, route, late, cases, failures, last_example, calls",
+    "sweep, name, module, route, late, cases, failures, last_example, calls",
     [
         pytest.param(
-            "differential", verify, "weekday_calamity", _late_weekday,
+            verify.verify_range, "differential", verify, "weekday_calamity", _late_weekday,
             146_463, 401 * 12, "2000-05-13: oracle=6 standard=6 forward=0 backward=6",
-            146_463, id="differential",
+            146_463, id="verify_range",
+        ),
+        pytest.param(
+            verify.differential_sweep, "differential", verify, "weekday_calamity", _late_weekday,
+            146_463, 401 * 12, "2000-05-13: oracle=6 standard=6 forward=0 backward=6",
+            146_463, id="differential_sweep",
         ),
         # The systems walk 2000..2399, in two shares at 2 CPUs, after 27
         # structure cases per system.
         pytest.param(
-            "anchor-systems", systems, "square_knot_forward", _late_knot,
+            verify.anchor_system_check, "anchor-systems", systems, "square_knot_forward", _late_knot,
             7 * 27 + 7 * 146_097, 7 * 400 * 12, "k=4 2000-01-13: system weekday != oracle",
-            7 * 146_097, id="anchor-systems",
+            7 * 146_097, id="anchor_system_check",
         ),
     ],
 )
 def test_a_forked_walk_reports_what_one_walk_reports(
-    monkeypatch, deadline, name, module, route, late, cases, failures, last_example, calls
+    monkeypatch, deadline, sweep, name, module, route, late, cases, failures, last_example, calls
 ):
     # The route runs a day late on every 13th: twelve failures a year, far
     # more than MAX_EXAMPLES in each share of 2000..2400, so the examples
@@ -309,10 +314,11 @@ def test_a_forked_walk_reports_what_one_walk_reports(
     for cpus in (1, 2):
         monkeypatch.setattr(_shares, "_cpu_count", lambda: cpus)
         calls_here = 0
-        results[cpus] = verify.verify_range(2000, 2400)
+        results[cpus] = sweep(2000, 2400)
         walked_here[cpus] = calls_here
     assert results[2] == results[1]
-    result = check(results[1], name)
+    result = check(results[1], name) if sweep is verify.verify_range else results[1]
+    assert result.name == name
     assert (result.cases, result.failures) == (cases, failures)
     assert result.examples[-1] == last_example
     assert walked_here[2] < walked_here[1] == calls
