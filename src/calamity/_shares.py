@@ -42,24 +42,24 @@ def run(
 
     The years are cut into contiguous shares, one per worker, each of at
     least ``min_years`` unless there is only one: the sweep that owns the
-    range measures where a fork starts to pay. This process runs the
-    first share; each other share runs in a forked child, which sends
-    its result back marshalled over a pipe, or the exception it raised
-    pickled. The first exception in share order is raised here, and no
-    child outlives the call. A share whose child cannot be started is
-    run here. A child that fails without an exception is named by
-    ``label`` and its years.
+    range measures where a fork starts to pay. Every share but the first
+    is started in a forked child, which sends back its result marshalled
+    over a pipe, or the exception it raised pickled. Then, in share order,
+    a share with no child (the first, or one whose fork failed) runs here
+    and each child's result is read. The first exception in share order
+    is raised here, and no child outlives the call. A child that fails
+    without an exception is named by ``label`` and its years.
     """
     count = max(1, min(_worker_count(), (last - first + 1) // min_years))
     bounds = [first + (last - first + 1) * i // count for i in range(count + 1)]
     shares = [(a, b - 1, *args) for a, b in zip(bounds, bounds[1:])]
-    children: list[tuple[int, int] | None] = []
+    children: list[tuple[int, int] | None] = [None]
     reaped = set()
     try:
         for share in shares[1:]:
             children.append(_fork(function, share))
-        results = [function(*shares[0])]
-        for share, child in zip(shares[1:], children):
+        results = []
+        for share, child in zip(shares, children):
             if child is None:
                 results.append(function(*share))
                 continue

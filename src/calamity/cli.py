@@ -50,10 +50,6 @@ class _UsageError(Exception):
     """A handler's usage error: ``main`` prints it and exits 2."""
 
 
-def _render_json(payload: object) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
-
-
 def _date_argument(text: str) -> Date:
     try:
         return Date.fromisoformat(text)
@@ -188,16 +184,16 @@ def _weekday_lines(payload: Payload) -> list[str]:
         return lines
     trace = payload["trace"]
     nav = trace["year"]
-    nav_sign = "+" if nav["direction"] == "forward" else "-"
     step = trace["month_step"]
-    offset = step["offset"]
-    offset_sign = "+" if offset >= 0 else "-"
+    signs = {"forward": "+", "backward": "-"}
+    nav_sign, step_sign = signs[nav["direction"]], signs[step["direction"]]
+    offset = abs(step["offset"])
     return lines + [
         f"  century anchor  {trace['century_anchor']}",
         f"  year            {nav['anchor']:02d} {nav_sign} {nav['distance']} -> digit {nav['digit']}",
         f"  month code      {trace['month_code']}",
-        f"  month step      {step['direction']}: gap {step['gap']} + digit {step['digit']} -> {offset_sign}{abs(offset)}",
-        f"  total           ({trace['century_anchor']} + {nav['digit']} {offset_sign} {abs(offset)}) mod 7 = {trace['final']}",
+        f"  month step      {step['direction']}: gap {step['gap']} + digit {step['digit']} -> {step_sign}{offset}",
+        f"  total           ({trace['century_anchor']} + {nav['digit']} {step_sign} {offset}) mod 7 = {trace['final']}",
     ]
 
 
@@ -326,7 +322,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"calamity: error: {exc}", file=sys.stderr)
         return 2
-    text = _render_json(payload) if args.as_json else "\n".join(render(payload))
+    text = json.dumps(payload, indent=2, sort_keys=True) if args.as_json else "\n".join(render(payload))
     if text:
         if sys.stdout is None:
             raise OSError("stdout is closed")

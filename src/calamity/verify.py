@@ -140,8 +140,8 @@ def _walk(first: int, last: int, systems: bool) -> list:
     return [(rec.cases, rec.failures, rec.examples) for rec in (diff, anchored, calendar)] + [ends]
 
 
-def _per_date_checks(start_year: int, end_year: int) -> tuple[_Recorder, _Recorder, _Recorder]:
-    """Walk the range once; returns the differential, anchor-systems and calendar recorders.
+def _per_date_checks(start_year: int, end_year: int) -> tuple[CheckResult, CheckResult, CheckResult]:
+    """Walk the range once; returns the differential, anchor-systems and calendar checks.
 
     After the systems' structure cases, the first 400 years, which hold
     every century class, year and month shape, are walked with the four
@@ -175,7 +175,7 @@ def _per_date_checks(start_year: int, end_year: int) -> tuple[_Recorder, _Record
     expected = _days_in_years(start_year, end_year), f"{start_year}-01-01", f"{end_year}-12-31"
     template = "{} dates walked, {}..{}; the leap rule gives {}, {}..{}"
     calendar.case(walked == expected, template, *walked, *expected)
-    return diff, anchored, calendar
+    return diff.result("differential"), anchored.result("anchor-systems"), calendar.result("calendar")
 
 
 def differential_sweep(start_year: int, end_year: int) -> CheckResult:
@@ -184,7 +184,7 @@ def differential_sweep(start_year: int, end_year: int) -> CheckResult:
     Kept for perfbench's per-layer timing alone; the benchmark change
     that replaces ``verify.differential_sweep_s`` deletes it.
     """
-    return _per_date_checks(start_year, end_year)[0].result("differential")
+    return _per_date_checks(start_year, end_year)[0]
 
 
 def month_code_check() -> CheckResult:
@@ -289,17 +289,11 @@ def anchor_system_check(start_year: int, end_year: int) -> CheckResult:
     Kept for perfbench's per-layer timing alone; the benchmark change
     that replaces ``verify.anchor_system_check_s`` deletes it.
     """
-    return _per_date_checks(start_year, end_year)[1].result("anchor-systems")
+    return _per_date_checks(start_year, end_year)[1]
 
 
 def verify_range(start_year: int, end_year: int) -> VerificationSummary:
     """Run every check over the year range; one walk feeds the three per-date checks."""
     diff, anchored, calendar = _per_date_checks(start_year, end_year)
     tables = (month_code_check(), square_knot_check(), year_table_check(), year_offset_check())
-    checks = (
-        diff.result("differential"),
-        *tables,
-        anchored.result("anchor-systems"),
-        calendar.result("calendar"),
-    )
-    return VerificationSummary(start_year, end_year, diff.cases, checks)
+    return VerificationSummary(start_year, end_year, diff.cases, (diff, *tables, anchored, calendar))

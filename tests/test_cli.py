@@ -1,10 +1,12 @@
 """Command-line behavior: rendering, exit codes, JSON stability."""
 
+import argparse
 import contextlib
 import dataclasses
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -12,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from calamity import systems as systems_module, verify as verify_module
-from calamity.cli import main
-from calamity.core import Weekday
+from calamity.cli import _cmd_weekday, _weekday_lines, main
+from calamity.core import Weekday, iter_dates
 from calamity.metrics import ComparisonReport, MethodProfile
 from calamity.verify import CheckResult, VerificationSummary
 from support import child_env
@@ -75,6 +77,27 @@ def test_weekday_trace_direction(capsys):
     assert forward.splitlines()[0] == backward.splitlines()[0]
     assert "+ 6" in forward
     assert "- 1" in backward
+
+
+_STEP_LINE = re.compile(r"  month step      (forward|backward): gap \d \+ digit \d -> ([+-])(\d)")
+_TOTAL_LINE = re.compile(r"  total           \((\d) \+ (\d) ([+-]) (\d)\) mod 7 = (\d)")
+
+
+@pytest.mark.parametrize("direction", ["forward", "backward", "auto"])
+def test_a_traced_month_step_is_signed_by_its_direction(direction):
+    # The handler and renderer alone: main would build a parser per date.
+    for date in iter_dates(2000, 2001):
+        args = argparse.Namespace(date=date, method="calamity", direction=direction, trace=True)
+        _, payload = _cmd_weekday(args)
+        step = payload["trace"]["month_step"]
+        sign = "+" if step["direction"] == "forward" else "-"
+        offset = str(abs(step["offset"]))
+        lines = _weekday_lines(payload)
+        assert _STEP_LINE.fullmatch(lines[4]).groups() == (step["direction"], sign, offset), date
+        anchor, digit, *signed, final = _TOTAL_LINE.fullmatch(lines[5]).groups()
+        assert signed == [sign, offset], date
+        total = int(anchor) + int(digit) + int(sign + offset)
+        assert total % 7 == int(final) == payload["weekday"], date
 
 
 def test_weekday_parse_failure_exits_2(capsys):

@@ -98,6 +98,26 @@ def test_worker_count_follows_cpus_and_threads(monkeypatch):
     assert _shares._worker_count() == 1
 
 
+def test_every_child_is_started_before_the_first_share_runs_here(monkeypatch, deadline, tmp_path):
+    # The first share waits for a mark from each other share's child; run
+    # before the children are started, it waits until the deadline.
+    here = os.getpid()
+
+    def meets_the_other_shares(first, last):
+        if os.getpid() != here:
+            (tmp_path / str(first)).touch()
+            return
+        while sorted(os.listdir(tmp_path)) != ["3", "5"]:
+            time.sleep(0.01)
+
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 3)
+    fds = open_fds()
+    results = _shares.run("probe", probe_share, 1, 6, 2, meets_the_other_shares)
+    assert [result[:2] for result in results] == [[1, 2], [3, 4], [5, 6]]
+    assert results[0][2] == here and len({result[2] for result in results}) == 3
+    assert_nothing_left(fds)
+
+
 # The engine's fault paths, driven with a probe share in place of a walk.
 
 
