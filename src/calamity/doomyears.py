@@ -81,17 +81,8 @@ class YearNavigation(NamedTuple):
 
 
 def nearest_anchor(yy: int) -> YearNavigation:
-    """Nearest anchor year to ``yy``.
-
-    Ties, distance 14 both ways at 14, 42 and 70, go forward from the lower
-    anchor, which ``min`` meets first; this is harmless because f(14) = b(14).
-    """
-    if not 0 <= yy <= 99:
-        raise ValueError(f"two-digit year {yy} outside 0..99")
-    anchor = min(ANCHOR_YEARS, key=lambda a: abs(yy - a))
-    if yy >= anchor:
-        return YearNavigation(anchor, yy - anchor, Direction.FORWARD)
-    return YearNavigation(anchor, anchor - yy, Direction.BACKWARD)
+    """Nearest anchor year to ``yy``, read from ``year_step``; ``_year_step`` sets the tie rule."""
+    return YearNavigation(*year_step(yy)[:3])
 
 
 class YearStep(NamedTuple):
@@ -104,11 +95,13 @@ class YearStep(NamedTuple):
 
 
 def _year_step(yy: int) -> YearStep:
-    nav = nearest_anchor(yy)
-    row = doomyear(nav.distance)
-    if nav.direction is Direction.FORWARD:
-        return YearStep(*nav, row.forward_digit)
-    return YearStep(*nav, row.backward_digit)
+    # Ties, distance 14 both ways at 14, 42 and 70, go forward from the
+    # lower anchor, which ``min`` meets first; this is harmless because
+    # f(14) = b(14).
+    anchor = min(ANCHOR_YEARS, key=lambda a: abs(yy - a))
+    if yy >= anchor:
+        return YearStep(anchor, yy - anchor, Direction.FORWARD, doomyear(yy - anchor).forward_digit)
+    return YearStep(anchor, anchor - yy, Direction.BACKWARD, doomyear(anchor - yy).backward_digit)
 
 
 _STEPS = tuple(_year_step(yy) for yy in range(100))

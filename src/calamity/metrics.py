@@ -177,12 +177,12 @@ def _profile(events: Sequence[OpEvent], peak: int) -> MethodProfile:
 
 def _trace_share(
     first: int, last: int, signatures: list[list[OpKind]], start_year: int
-) -> tuple[list[int], str | None]:
-    """Trace ``first..last``; returns both peaks and the first date off ``signatures``, or None.
+) -> list[int]:
+    """Trace ``first..last``; return both peaks, or raise at the first date off ``signatures``.
 
     ``signatures`` are the kinds of the range's first date, which the
     caller traced already: the share that starts in ``start_year`` skips
-    it. A share stops at its first changed date: no later one is reported.
+    it.
     """
     peaks = [0, 0]
     dates = iter_dates(first, last)
@@ -191,9 +191,9 @@ def _trace_share(
     for date in dates:
         traced = (trace_standard(date), trace_calamity(date))
         if [[e.kind for e in events] for events in traced] != signatures:
-            return peaks, str(date)
+            raise RuntimeError(f"operation signature changed at {date}")
         peaks = [max(peak, max_intermediate(events)) for peak, events in zip(peaks, traced)]
-    return peaks, None
+    return peaks
 
 
 def compare(start_year: int, end_year: int) -> ComparisonReport:
@@ -214,9 +214,10 @@ def compare(start_year: int, end_year: int) -> ComparisonReport:
 
     One ``_shares`` call traces the window in forked year shares, one per
     CPU and each of at least ``MIN_SHARE_YEARS``. Each share checks its
-    dates against the range's first date, traced once here, and reports
-    the first that differs; the first such date in date order is raised,
-    so the report and the error text are the ones a single sweep gives.
+    dates against the range's first date, traced once here, and raises
+    at the first that differs. The engine raises the first such error in
+    share order, and no later share outlives it, so the report and the
+    error text are the ones a single sweep gives.
     """
     _check_range(start_year, end_year)
     scanned = _days_in_years(start_year, end_year)
@@ -227,11 +228,9 @@ def compare(start_year: int, end_year: int) -> ComparisonReport:
     signatures = [[e.kind for e in events] for events in first]
     peaks = [max_intermediate(events) for events in first]
     window_end = min(end_year, start_year + CYCLE_YEARS - 1)
-    for share_peaks, changed in _shares.run(
+    for share_peaks in _shares.run(
         "metrics", _trace_share, start_year, window_end, MIN_SHARE_YEARS, signatures, start_year
     ):
-        if changed is not None:
-            raise RuntimeError(f"operation signature changed at {changed}")
         peaks = [max(pair) for pair in zip(peaks, share_peaks)]
 
     standard, calamity = map(_profile, first, peaks)

@@ -127,8 +127,14 @@ def test_year_offset_equivalence_exhaustive():
 
 
 def test_year_step_extends_the_navigation():
+    # Against a brute-force search, not the table both read: every year
+    # steps from an anchor at the least distance, and each tie goes
+    # forward from the lower anchor.
     for yy in range(100):
         step = year_step(yy)
+        assert step.distance == min(abs(yy - a) for a in ANCHOR_YEARS) == abs(yy - step.anchor)
+        if yy in (14, 42, 70):
+            assert step[:3] == (yy - 14, 14, Direction.FORWARD)
         assert step[:3] == nearest_anchor(yy)
         assert step.digit == year_offset_doomyear(yy)
 

@@ -5,6 +5,7 @@ import errno
 import hashlib
 import os
 import signal
+import time
 
 import pytest
 from hypothesis import given
@@ -354,12 +355,35 @@ def test_a_forked_trace_reports_the_signature_change_one_trace_reports(
 
     def record(first, last, *args):
         cut.append((first, last))
-        return [0, 0], None
+        return [0, 0]
 
     monkeypatch.setattr(metrics, "_trace_share", record)
     monkeypatch.setattr(os, "fork", refuse(errno.EAGAIN))
     compare(2000, 2399)
     assert cut == [(2000, 2199), (2200, 2399)]
+
+
+def test_a_signature_change_found_here_ends_the_sweep(monkeypatch, deadline):
+    # At 2 CPUs, 2000..2399 is traced here to 2199 and in a worker from
+    # 2200. The change at 2100-03-01 is found here, and the worker's share,
+    # which would take 20 s, is not waited for.
+    original, here = metrics.trace_standard, os.getpid()
+
+    def slow_in_a_worker(date):
+        if os.getpid() != here:
+            time.sleep(20)
+        events = original(date)
+        return events[:-1] if date >= Date(2100, 3, 1) else events
+
+    monkeypatch.setattr(metrics, "trace_standard", slow_in_a_worker)
+    monkeypatch.setattr(_shares, "_cpu_count", lambda: 2)
+    fds = open_fds()
+    started = time.monotonic()
+    with pytest.raises(RuntimeError) as raised:
+        compare(2000, 2399)
+    assert time.monotonic() - started < 10
+    assert str(raised.value) == "operation signature changed at 2100-03-01"
+    assert_nothing_left(fds)
 
 
 def test_a_killed_metrics_worker_names_its_sweep(monkeypatch, deadline):
