@@ -58,9 +58,21 @@ class Direction(str, enum.Enum):
 _FORWARD, _BACKWARD = Direction
 
 
+def _check_int(what: str, value: int, low: int, high: int, span: str = "") -> None:
+    """Raise unless ``value`` is an exact ``int`` in ``low..high``; the error names ``what``.
+
+    Each public scalar function runs this before its unchecked private
+    form, the one the per-date routes call. Exact type: a bool or float
+    equal to an int in range would pass the range check.
+    """
+    if type(value) is not int:
+        raise TypeError(f"{what} must be int, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"{what} {value} outside {span}{low}..{high}")
+
+
 def _check_year(year: int) -> None:
-    if not MIN_YEAR <= year <= MAX_YEAR:
-        raise ValueError(f"year {year} outside supported range {MIN_YEAR}..{MAX_YEAR}")
+    _check_int("year", year, MIN_YEAR, MAX_YEAR, "supported range ")
 
 
 def _is_leap(year: int) -> bool:
@@ -80,12 +92,15 @@ def is_leap(year: int) -> bool:
 CYCLE_YEARS = 400
 
 
+def _month_length(year: int, month: int) -> int:
+    return _MONTH_LENGTHS[_is_leap(year)][month - 1]
+
+
 def month_length(year: int, month: int) -> int:
     """Number of days in the given month of the given year."""
-    if not 1 <= month <= 12:
-        raise ValueError(f"month {month} outside 1..12")
+    _check_int("month", month, 1, 12)
     _check_year(year)
-    return _MONTH_LENGTHS[_is_leap(year)][month - 1]
+    return _month_length(year, month)
 
 
 @dataclass(frozen=True, slots=True, order=True)
@@ -99,15 +114,14 @@ class Date:
     def __post_init__(self) -> None:
         # Exact type check: rejects bools and floats, which would compare
         # equal to a valid date or fail only when rendered.
-        if not (type(self.year) is int and type(self.month) is int and type(self.day) is int):
-            raise TypeError(
-                f"date fields must be int, got {self.year!r}, {self.month!r}, {self.day!r}"
-            )
-        limit = month_length(self.year, self.month)
-        if not 1 <= self.day <= limit:
-            raise ValueError(
-                f"day {self.day} outside 1..{limit} for {self.year:04d}-{self.month:02d}"
-            )
+        year, month, day = self.year, self.month, self.day
+        if not (type(year) is int and type(month) is int and type(day) is int):
+            raise TypeError(f"date fields must be int, got {year!r}, {month!r}, {day!r}")
+        if not (1 <= month <= 12 and MIN_YEAR <= year <= MAX_YEAR):
+            month_length(year, month)  # raises the range error in the checked form's words
+        limit = _month_length(year, month)
+        if not 1 <= day <= limit:
+            raise ValueError(f"day {day} outside 1..{limit} for {year:04d}-{month:02d}")
 
     @classmethod
     def fromisoformat(cls, text: str) -> "Date":
@@ -157,7 +171,7 @@ def _check_range(start_year: int, end_year: int) -> None:
 
 def _days_in_years(start_year: int, end_year: int) -> int:
     """Days from Jan 1 of ``start_year`` through Dec 31 of ``end_year``, by the leap rule alone."""
-    return sum(366 if is_leap(year) else 365 for year in range(start_year, end_year + 1))
+    return sum(366 if _is_leap(year) else 365 for year in range(start_year, end_year + 1))
 
 
 # The walk's trusted builder: ``object.__new__`` and the slot setters,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .conway import year_offset_arithmetic
-from .core import Direction
+from .core import Direction, _check_int
 
 #: Two-digit years whose offset is 0, spaced by the 28-year period.
 ANCHOR_YEARS = (0, 28, 56, 84)
@@ -62,8 +62,7 @@ _TABLE = tuple(_row(distance) for distance in range(MAX_DISTANCE + 1))
 
 def doomyear(distance: int) -> Doomyear:
     """The table row for ``distance`` years from an anchor."""
-    if not 0 <= distance <= MAX_DISTANCE:
-        raise ValueError(f"distance {distance} outside 0..{MAX_DISTANCE}")
+    _check_int("distance", distance, 0, MAX_DISTANCE)
     return _TABLE[distance]
 
 
@@ -81,7 +80,7 @@ class YearNavigation(NamedTuple):
 
 
 def nearest_anchor(yy: int) -> YearNavigation:
-    """Nearest anchor year to ``yy``, read from ``year_step``; ``_year_step`` sets the tie rule."""
+    """Nearest anchor year to ``yy``, read from ``year_step``; ``_navigate`` sets the tie rule."""
     return YearNavigation(*year_step(yy)[:3])
 
 
@@ -94,7 +93,7 @@ class YearStep(NamedTuple):
     digit: int
 
 
-def _year_step(yy: int) -> YearStep:
+def _navigate(yy: int) -> YearStep:
     # Ties, distance 14 both ways at 14, 42 and 70, go forward from the
     # lower anchor, which ``min`` meets first; this is harmless because
     # f(14) = b(14).
@@ -104,16 +103,27 @@ def _year_step(yy: int) -> YearStep:
     return YearStep(anchor, anchor - yy, Direction.BACKWARD, doomyear(anchor - yy).backward_digit)
 
 
-_STEPS = tuple(_year_step(yy) for yy in range(100))
+_STEPS = tuple(_navigate(yy) for yy in range(100))
+# The digits alone, for the routes: a tuple index, where 3.11 does not
+# specialize a named tuple's field read.
+_DIGITS = tuple(step.digit for step in _STEPS)
+
+
+def _year_step(yy: int) -> YearStep:
+    return _STEPS[yy]
 
 
 def year_step(yy: int) -> YearStep:
     """Navigation and table digit for a two-digit year."""
-    if not 0 <= yy <= 99:
-        raise ValueError(f"two-digit year {yy} outside 0..99")
-    return _STEPS[yy]
+    _check_int("two-digit year", yy, 0, 99)
+    return _year_step(yy)
+
+
+def _year_offset_doomyear(yy: int) -> int:
+    return _DIGITS[yy]
 
 
 def year_offset_doomyear(yy: int) -> int:
     """Year offset read from the table instead of computed by division."""
-    return year_step(yy).digit
+    _check_int("two-digit year", yy, 0, 99)
+    return _year_offset_doomyear(yy)

@@ -1,7 +1,9 @@
 """The full lookup pipeline: century anchor + year digit + month offset.
 
-Every contribution is a single digit. The canonical form always adds
-the forward month offset; the backward form subtracts the backward one.
+Every contribution is a single digit, read through its owner module's
+unchecked form: a ``Date``'s fields are already in range. The canonical
+form always adds the forward month offset; the backward form subtracts
+the backward one.
 The traced form takes its answer from one of the two and records every
 component of that direction's computation, a backward offset as a
 subtraction, so the computation can be checked by eye.
@@ -13,8 +15,8 @@ from typing import NamedTuple, Union
 
 from .conway import _century_anchor
 from .core import _BACKWARD, _FORWARD, WEEKDAYS, Date, Direction, Weekday, _is_leap
-from .doomyears import YearStep, year_step
-from .vector import VectorCode, gaps, square_knot_backward, square_knot_forward, vector_code
+from .doomyears import YearStep, _year_offset_doomyear, _year_step
+from .vector import VectorCode, _gaps, _square_knot_backward, _square_knot_forward, _vector_code
 
 #: Sentinel for "pick the month direction with the smaller gap".
 AUTO = "auto"
@@ -53,22 +55,24 @@ class StepTrace(NamedTuple):
 
 def weekday_calamity(date: Date) -> Weekday:
     """Weekday as century anchor + year digit + forward month offset, mod 7."""
-    code = vector_code(date.month, _is_leap(date.year))
+    year = date.year
+    code = _vector_code(date.month, _is_leap(year))
     total = (
-        _century_anchor(date.year)
-        + year_step(date.year % 100).digit
-        + square_knot_forward(date.day, code)
+        _century_anchor(year)
+        + _year_offset_doomyear(year % 100)
+        + _square_knot_forward(date.day, code)
     )
     return WEEKDAYS[total % 7]
 
 
 def weekday_calamity_backward(date: Date) -> Weekday:
     """Weekday as century anchor + year digit - backward month offset, mod 7."""
-    code = vector_code(date.month, _is_leap(date.year))
+    year = date.year
+    code = _vector_code(date.month, _is_leap(year))
     total = (
-        _century_anchor(date.year)
-        + year_step(date.year % 100).digit
-        - square_knot_backward(date.day, code)
+        _century_anchor(year)
+        + _year_offset_doomyear(year % 100)
+        - _square_knot_backward(date.day, code)
     )
     return WEEKDAYS[total % 7]
 
@@ -87,9 +91,9 @@ def weekday_calamity_traced(
     The resulting weekday never depends on the choice.
     """
     anchor = _century_anchor(date.year)
-    year = year_step(date.year % 100)
-    code = vector_code(date.month, _is_leap(date.year))
-    pair = gaps(date.day)
+    year = _year_step(date.year % 100)
+    code = _vector_code(date.month, _is_leap(date.year))
+    pair = _gaps(date.day)
     if type(month_direction) is Direction:
         chosen = month_direction
     elif month_direction == AUTO:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from . import _shares
-from .conway import _century_anchor, doomsday_date
+from .conway import _century_anchor, _doomsday_date
 from .core import _FORWARD, CYCLE_YEARS, Date, _check_range, _days_in_years, _is_leap, iter_dates
 from .method import weekday_calamity_traced
 
@@ -80,7 +80,7 @@ def trace_standard(date: Date) -> list[OpEvent]:
     quotient = yy // 4
     added = yy + quotient
     omega = added % 7
-    anchor_day = doomsday_date(date.month, _is_leap(date.year))
+    anchor_day = _doomsday_date(date.month, _is_leap(date.year))
     delta = date.day - anchor_day
     century = _century_anchor(date.year)
     corrected = (century + omega + delta) % 7

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .conway import CENTURY_ANCHORS, DOOMSDAY_DATES, doomsday_date
-from .core import COMMON_MONTH_LENGTHS, WEEKDAYS, Date, Weekday, _check_year, _is_leap
-from .doomyears import year_step
-from .vector import VectorCode, square_knot_forward
+from .core import COMMON_MONTH_LENGTHS, WEEKDAYS, Date, Weekday, _check_int, _check_year, _is_leap
+from .doomyears import _year_offset_doomyear
+from .vector import VectorCode, _square_knot_forward
 
 
 def _code_for_residue(residue: int) -> VectorCode:
@@ -56,25 +56,21 @@ class AnchorSystem:
         return _CENTURY_ANCHORS[self.k][(year // 100) % 4]
 
     def code(self, month: int, leap: bool = False) -> VectorCode:
-        """Month code from this class's leap-aware residue."""
-        if not 1 <= month <= 12:
-            raise ValueError(f"month {month} outside 1..12")
+        """Month code from this class's leap-aware residue; ``leap`` is read for its truth."""
+        _check_int("month", month, 1, 12)
         return _MONTH_CODES[self.k][bool(leap)][month - 1]
 
     def weekday(self, date: Date) -> Weekday:
-        """End-to-end weekday using this system's tables only."""
+        """End-to-end weekday using this system's tables and the owners' unchecked forms."""
         year = date.year
         code = _MONTH_CODES[self.k][_is_leap(year)][date.month - 1]
-        total = _CENTURY_ANCHORS[self.k][(year // 100) % 4] + year_step(year % 100).digit
-        return WEEKDAYS[(total + square_knot_forward(date.day, code)) % 7]
+        total = _CENTURY_ANCHORS[self.k][(year // 100) % 4] + _year_offset_doomyear(year % 100)
+        return WEEKDAYS[(total + _square_knot_forward(date.day, code)) % 7]
 
 
 def system(k: int) -> AnchorSystem:
     """Canonical representative of equivalence class ``k``."""
-    if type(k) is not int:
-        raise TypeError(f"system index must be int, got {k!r}")
-    if not 0 <= k <= 6:
-        raise ValueError(f"system index {k} outside 0..6")
+    _check_int("system index", k, 0, 6)
     codes = _MONTH_CODES[k][False]
     # A code's units digit is its residue: _ROTATION[r].units == r.
     return AnchorSystem(k=k, residues=tuple(code.units for code in codes), codes=codes)

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .conway import doomsday_date
+from .core import _check_int
 
 #: Reference points at or below any day of month.
 LOWER_ANCHORS = (0, 7, 14, 21, 28)
@@ -67,11 +68,14 @@ def _measure(day: int) -> GapPair:
 _GAPS = tuple(_measure(day) for day in range(1, 32))
 
 
+def _gaps(day: int) -> GapPair:
+    return _GAPS[day - 1]
+
+
 def gaps(day: int) -> GapPair:
     """Forward and backward gaps of a day of month; both 0 on a multiple of 7."""
-    if not 1 <= day <= 31:
-        raise ValueError(f"day {day} outside 1..31")
-    return _GAPS[day - 1]
+    _check_int("day", day, 1, 31)
+    return _gaps(day)
 
 
 def _code_for_day(day: int) -> VectorCode:
@@ -79,23 +83,39 @@ def _code_for_day(day: int) -> VectorCode:
     return VectorCode(tens=pair.backward, units=pair.forward)
 
 
-_CODES = {
-    (month, leap): _code_for_day(doomsday_date(month, leap))
-    for month in range(1, 13)
+# Codes by leap class, then month: _CODES[leap][month - 1].
+_CODES = tuple(
+    tuple(_code_for_day(doomsday_date(month, leap)) for month in range(1, 13))
     for leap in (False, True)
-}
+)
+
+
+def _vector_code(month: int, leap: bool) -> VectorCode:
+    # ``leap`` indexes the table: a bool, as ``_is_leap`` gives.
+    return _CODES[leap][month - 1]
 
 
 def vector_code(month: int, leap: bool = False) -> VectorCode:
-    """Code of ``month``'s anchor date, honoring the leap-year overrides."""
-    if not 1 <= month <= 12:
-        raise ValueError(f"month {month} outside 1..12")
-    return _CODES[month, bool(leap)]
+    """Code of ``month``'s anchor date, honoring the leap-year overrides.
+
+    ``leap`` is read for its truth, as ``doomsday_date`` reads it.
+    """
+    _check_int("month", month, 1, 12)
+    return _vector_code(month, bool(leap))
+
+
+def _square_knot_forward(day: int, code: VectorCode) -> int:
+    return (_GAPS[day - 1].forward + code.tens) % 7
 
 
 def square_knot_forward(day: int, code: VectorCode) -> int:
     """Days after the anchor date: (forward gap + tens digit) mod 7."""
-    return (gaps(day).forward + code.tens) % 7
+    _check_int("day", day, 1, 31)
+    return _square_knot_forward(day, code)
+
+
+def _square_knot_backward(day: int, code: VectorCode) -> int:
+    return (_GAPS[day - 1].backward + code.units) % 7
 
 
 def square_knot_backward(day: int, code: VectorCode) -> int:
@@ -103,7 +123,8 @@ def square_knot_backward(day: int, code: VectorCode) -> int:
 
     Callers subtract this offset; it carries no sign of its own.
     """
-    return (gaps(day).backward + code.units) % 7
+    _check_int("day", day, 1, 31)
+    return _square_knot_backward(day, code)
 
 
 _VOCABULARY = frozenset(

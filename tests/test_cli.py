@@ -317,13 +317,13 @@ SYSTEM_FAULT_TEXT = "\n".join([
 @pytest.fixture
 def system_off_on_13th(monkeypatch):
     """Make the square-knot step the anchor systems run one day late on the 13th."""
-    real = systems_module.square_knot_forward
+    real = systems_module._square_knot_forward
 
     def faulty(day, code):
         offset = real(day, code)
         return (offset + 1) % 7 if day == 13 else offset
 
-    monkeypatch.setattr(systems_module, "square_knot_forward", faulty)
+    monkeypatch.setattr(systems_module, "_square_knot_forward", faulty)
 
 
 def test_verify_system_failure_text(capsys, system_off_on_13th):

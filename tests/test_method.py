@@ -74,10 +74,11 @@ def test_unknown_direction_is_rejected():
 
 
 def test_backward_route_runs_the_verified_square_knot(monkeypatch):
-    # The square-knot check tests square_knot_backward; an off-by-one
-    # copy must reach the backward route and the differential check.
-    real = method.square_knot_backward
-    monkeypatch.setattr(method, "square_knot_backward", lambda day, code: real(day, code) + 1)
+    # The square-knot check tests square_knot_backward, which runs the
+    # route's _square_knot_backward; an off-by-one copy must reach the
+    # backward route and the differential check.
+    real = method._square_knot_backward
+    monkeypatch.setattr(method, "_square_knot_backward", lambda day, code: real(day, code) + 1)
     date = Date(2025, 12, 25)
     assert weekday_calamity_traced(date, Direction.BACKWARD)[0] != oracle_weekday(date)
     assert check(verify.verify_range(2000, 2000), "differential").failures == 366
@@ -124,11 +125,11 @@ def test_every_standard_trace_of_a_cycle_ends_on_its_weekday():
 def test_cycle_check_catches_a_late_leap_february_anchor(monkeypatch):
     # Only the trace's anchor is one day late, and only for a leap February:
     # 97 leap years of a cycle times 29 days.
-    real = metrics.doomsday_date
+    real = metrics._doomsday_date
     monkeypatch.setattr(
         metrics,
-        "doomsday_date",
-        lambda month, leap=False: real(month, leap) + (leap and month == 2),
+        "_doomsday_date",
+        lambda month, leap: real(month, leap) + (leap and month == 2),
     )
     assert _cycle_standard_mismatches() == 97 * 29 == 2_813
 

@@ -288,7 +288,7 @@ def _late_knot(real):
         # The systems walk 2000..2399, in two shares at 2 CPUs, after 27
         # structure cases per system.
         pytest.param(
-            verify.anchor_system_check, "anchor-systems", systems, "square_knot_forward", _late_knot,
+            verify.anchor_system_check, "anchor-systems", systems, "_square_knot_forward", _late_knot,
             7 * 27 + 7 * 146_097, 7 * 400 * 12, "k=4 2000-01-13: system weekday != oracle",
             7 * 146_097, id="anchor_system_check",
         ),
